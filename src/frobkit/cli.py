@@ -14,25 +14,17 @@ import json
 import re
 import sys
 
-from .errors import (
-    FrobkitError,
-    InvalidInputError,
-    NoClosedFormCaseError,
-    OutOfValidityRangeError,
-    ResourceLimitError,
-    UnsupportedCaseError,
-)
+from .errors import FrobkitError, InvalidInputError, ResourceLimitError
 from .families import (
-    ShiftedGeometricQuad,
-    ShiftedGeometricTriple,
+    CLOSED_ERROR_TAGS,
+    CLOSED_ERRORS,
+    ShiftedGeometricFamily,
     abg_decompose,
     apery_grid_triple,
-    closed_form_case,
-    g_p_closed_quad,
-    g_p_closed_triple,
+    case_tag,
+    closed_value,
     make_quad,
     make_triple,
-    n_p_closed_triple,
     qr_decompose,
 )
 from .semigroup import (
@@ -40,6 +32,8 @@ from .semigroup import (
     apery_set,
     p_frobenius_scan,
     p_sylvester_count,
+    require_row,
+    scan_p_range,
 )
 from .verify import SweepSpec, verify_grid
 
@@ -68,67 +62,36 @@ def _emit_csv(rows: list[list[str]]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _make_family(args) -> ShiftedGeometricTriple | ShiftedGeometricQuad:
+def _make_family(args) -> ShiftedGeometricFamily:
     make = make_triple if args.vars == 3 else make_quad
     return make(args.a, args.b, args.c, args.n)
 
 
-def _decomposition_fields(params) -> dict[str, str]:
-    if isinstance(params, ShiftedGeometricTriple):
+def _decomposition_fields(params: ShiftedGeometricFamily) -> dict[str, str]:
+    if params.k == 3:
         qr = qr_decompose(params)
         return {"q": str(qr.q), "r": str(qr.r)}
     d = abg_decompose(params)
     return {"alpha": str(d.alpha), "beta": str(d.beta), "gamma": str(d.gamma)}
 
 
-def _case_field(params) -> str | None:
-    if isinstance(params, ShiftedGeometricTriple) and params.c < 0:
-        cid = closed_form_case(params).case_id
-        return "NoCaseApplies" if cid is None else str(cid)
-    return None
-
-
-def _closed_value(params, quantity: str, p: int) -> int:
-    if quantity == "frobenius":
-        if isinstance(params, ShiftedGeometricTriple):
-            return g_p_closed_triple(params, p)
-        return g_p_closed_quad(params, p)
-    if isinstance(params, ShiftedGeometricTriple):
-        return n_p_closed_triple(params, p)
-    raise UnsupportedCaseError("no closed p-Sylvester form for four generators")
-
-
-def _oracle_value(params, quantity: str, p: int) -> int:
-    if quantity == "frobenius":
-        return p_frobenius_scan(params.gens, p)
-    return p_sylvester_count(params.gens, p)
-
-
-_CLOSED_ERRORS = (NoClosedFormCaseError, OutOfValidityRangeError, UnsupportedCaseError)
-
-_TAGS = {
-    NoClosedFormCaseError: "NoClosedFormCase",
-    OutOfValidityRangeError: "OutOfValidityRange",
-    UnsupportedCaseError: "Unsupported",
-}
-
-
 def cmd_compute(args) -> int:
     params = _make_family(args)
     decomp = _decomposition_fields(params)
-    case = _case_field(params)
+    case = case_tag(params)
     closed = oracle = None
     closed_error = None
     method_used = args.method
     if args.method in ("closed", "both"):
         try:
-            closed = _closed_value(params, args.quantity, args.p)
-        except _CLOSED_ERRORS as exc:
-            closed_error = _TAGS[type(exc)]
+            closed = closed_value(params, args.quantity, args.p)
+        except CLOSED_ERRORS as exc:
+            closed_error = CLOSED_ERROR_TAGS[type(exc)]
     if args.method in ("oracle", "both") or (
         args.method == "closed" and closed is None
     ):
-        oracle = _oracle_value(params, args.quantity, args.p)
+        scan = p_frobenius_scan if args.quantity == "frobenius" else p_sylvester_count
+        oracle = scan(params.gens, args.p)
     if args.method == "closed" and closed is None:
         method_used = "oracle-fallback"
 
@@ -151,11 +114,11 @@ def cmd_compute(args) -> int:
     if args.format == "json":
         _emit_json(obj)
     else:
+        redundant = params.gens.redundant_generators()
         print("generators:", " ".join(str(g) for g in params.gens))
         print(" ".join(f"{k}={v}" for k, v in decomp.items()))
         if case is not None:
             print(f"case: {case}")
-        redundant = params.gens.redundant_generators()
         if redundant:
             print(
                 "note: generator(s) representable by the others:",
@@ -196,7 +159,7 @@ def cmd_apery(args) -> int:
         gens = params.gens
     table = apery_set(gens, args.p)
     if args.grid:
-        if not isinstance(params, ShiftedGeometricTriple):
+        if params is None or params.k != 3:
             raise InvalidInputError("--grid requires the three-term family flags")
         grid = apery_grid_triple(params, args.p)
         if grid.entries_by_residue() != table.entries:
@@ -261,10 +224,11 @@ def cmd_verify(args) -> int:
         print(
             f"total={s.total} matched={s.matched} mismatched={s.mismatched} "
             f"skipped_gcd={s.skipped_gcd} no_case={s.no_case} "
-            f"out_of_range={s.out_of_range} skipped_large={s.skipped_large}"
+            f"out_of_range={s.out_of_range} skipped_large={s.skipped_large} "
+            f"resource_limit={s.resource_limit}"
         )
         for pt in report.points:
-            if not pt.match and pt.closed_error is None:
+            if pt.outcome == "mismatched":
                 print(
                     f"MISMATCH a={pt.a} b={pt.b} c={pt.c} n={pt.n} p={pt.p}: "
                     f"closed={pt.closed} oracle={pt.oracle}"
@@ -274,43 +238,32 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     params = _make_family(args)
-    rows = []
+    # Closed forms first; the cells they refuse share one oracle pass.
+    cells: dict[tuple[int, int], tuple[int, str] | None] = {}
     for p in range(args.p_max + 1):
-        try:
-            g = _closed_value(params, "frobenius", p)
-            g_method = "closed"
-        except _CLOSED_ERRORS:
-            g = _oracle_value(params, "frobenius", p)
-            g_method = "oracle"
-        try:
-            n = _closed_value(params, "sylvester", p)
-            n_method = "closed"
-        except _CLOSED_ERRORS:
-            n = _oracle_value(params, "sylvester", p)
-            n_method = "oracle"
-        rows.append((p, g, g_method, n, n_method))
+        for i, quantity in enumerate(("frobenius", "sylvester")):
+            try:
+                cells[p, i] = (closed_value(params, quantity, p), "closed")
+            except CLOSED_ERRORS:
+                cells[p, i] = None
+    refused = [p for (p, _), cell in cells.items() if cell is None]
+    if refused:
+        oracle = scan_p_range(params.gens, max(refused))
+        for (p, i), cell in cells.items():
+            if cell is None:
+                cells[p, i] = (require_row(oracle[p], p)[i], "oracle")
+    rows = [(p, *cells[p, 0], *cells[p, 1]) for p in range(args.p_max + 1)]
 
+    header = ["p", "g", "g_method", "n", "n_method"]
     if args.format == "json":
         _emit_json(
             {
                 "generators": [str(g) for g in params.gens],
-                "rows": [
-                    {
-                        "p": str(p),
-                        "g": str(g),
-                        "g_method": gm,
-                        "n": str(n),
-                        "n_method": nm,
-                    }
-                    for p, g, gm, n, nm in rows
-                ],
+                "rows": [dict(zip(header, map(str, row))) for row in rows],
             }
         )
     elif args.format == "csv":
-        _emit_csv(
-            [["p", "g", "g_method", "n", "n_method"]]
-            + [[str(p), str(g), gm, str(n), nm] for p, g, gm, n, nm in rows]
-        )
+        _emit_csv([header] + [list(map(str, row)) for row in rows])
     else:
         print("generators:", " ".join(str(g) for g in params.gens))
         print(f"{'p':>4} {'g_p':>14} {'method':>8} {'n_p':>14} {'method':>8}")
@@ -410,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except FrobkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

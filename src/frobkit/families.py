@@ -29,33 +29,22 @@ from .semigroup import GeneratorTuple
 
 
 @dataclass(frozen=True)
-class ShiftedGeometricTriple:
-    """Parameters (a, b, c, n) plus the derived three-term generator tuple."""
+class ShiftedGeometricFamily:
+    """Parameters (a, b, c, n) plus the derived k-term generator tuple (k = 3 or 4)."""
 
     a: int
     b: int
     c: int
     n: int
     gens: GeneratorTuple
+
+    @property
+    def k(self) -> int:
+        return len(self.gens)
 
     @property
     def c0(self) -> int | None:
         """Magnitude of a negative shift; None when c > 0."""
-        return -self.c if self.c < 0 else None
-
-
-@dataclass(frozen=True)
-class ShiftedGeometricQuad:
-    """Parameters (a, b, c, n) plus the derived four-term generator tuple."""
-
-    a: int
-    b: int
-    c: int
-    n: int
-    gens: GeneratorTuple
-
-    @property
-    def c0(self) -> int | None:
         return -self.c if self.c < 0 else None
 
 
@@ -118,33 +107,40 @@ def _family_gens(a: int, b: int, c: int, n: int, k: int) -> GeneratorTuple:
     return GeneratorTuple(gens)
 
 
-def make_triple(a: int, b: int, c: int, n: int) -> ShiftedGeometricTriple:
+def make_triple(a: int, b: int, c: int, n: int) -> ShiftedGeometricFamily:
     """Validated three-term family constructor."""
     _validate_params(a, b, c, n)
-    return ShiftedGeometricTriple(a, b, c, n, _family_gens(a, b, c, n, 3))
+    return ShiftedGeometricFamily(a, b, c, n, _family_gens(a, b, c, n, 3))
 
 
-def make_quad(a: int, b: int, c: int, n: int) -> ShiftedGeometricQuad:
+def make_quad(a: int, b: int, c: int, n: int) -> ShiftedGeometricFamily:
     """Validated four-term family constructor."""
     _validate_params(a, b, c, n)
-    return ShiftedGeometricQuad(a, b, c, n, _family_gens(a, b, c, n, 4))
+    return ShiftedGeometricFamily(a, b, c, n, _family_gens(a, b, c, n, 4))
 
 
-def qr_decompose(t: ShiftedGeometricTriple) -> QRDecomposition:
-    """Quotient and remainder of the minimum generator by b + 1."""
+def _require_k(fam: ShiftedGeometricFamily, k: int) -> None:
+    if fam.k != k:
+        raise InvalidInputError(f"expected a {k}-term family, got {fam.k} terms")
+
+
+def qr_decompose(t: ShiftedGeometricFamily) -> QRDecomposition:
+    """Quotient and remainder of the minimum generator by b + 1 (k = 3)."""
+    _require_k(t, 3)
     q, r = divmod(t.gens.gens[0], t.b + 1)
     return QRDecomposition(q, r)
 
 
-def abg_decompose(qd: ShiftedGeometricQuad) -> ABGDecomposition:
-    """Mixed-radix digits of the minimum generator in base (b^2+b+1, b+1, 1)."""
+def abg_decompose(qd: ShiftedGeometricFamily) -> ABGDecomposition:
+    """Mixed-radix digits of the minimum generator in base (b^2+b+1, b+1, 1) (k = 4)."""
+    _require_k(qd, 4)
     b = qd.b
     alpha, rem = divmod(qd.gens.gens[0], b * b + b + 1)
     beta, gamma = divmod(rem, b + 1)
     return ABGDecomposition(alpha, beta, gamma)
 
 
-def closed_form_case(t: ShiftedGeometricTriple) -> ClosedFormCase:
+def closed_form_case(t: ShiftedGeometricFamily) -> ClosedFormCase:
     """Select the closed-form branch for a negative shift (c < 0).
 
     Exactly one of four inequality systems can hold (>= on the growth side,
@@ -176,7 +172,7 @@ def closed_form_case(t: ShiftedGeometricTriple) -> ClosedFormCase:
     return ClosedFormCase(case_id, cond)
 
 
-def g_p_closed_triple(t: ShiftedGeometricTriple, p: int) -> int:
+def g_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
     """Closed-form p-Frobenius number of a three-term family, 0 <= p <= q.
 
     For c > 0 the largest Apery element sits at (r-1, q+p) when r >= 1 and
@@ -216,7 +212,7 @@ def g_p_closed_triple(t: ShiftedGeometricTriple, p: int) -> int:
     )
 
 
-def n_p_closed_triple(t: ShiftedGeometricTriple, p: int) -> int:
+def n_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
     """Closed-form p-Sylvester number of a three-term family (c > 0 only)."""
     if p < 0:
         raise InvalidInputError(f"p must be >= 0, got {p}")
@@ -247,7 +243,7 @@ class AperyGridTriple:
     a complete residue system mod the minimum generator.
     """
 
-    triple: ShiftedGeometricTriple
+    triple: ShiftedGeometricFamily
     p: int
     positions: frozenset[tuple[int, int]]
     residue_unit: int  # (b - 1) * c mod a1; the residue step per x2 unit
@@ -274,7 +270,7 @@ class AperyGridTriple:
         return tuple(entries)  # type: ignore[arg-type]
 
 
-def apery_grid_triple(t: ShiftedGeometricTriple, p: int) -> AperyGridTriple:
+def apery_grid_triple(t: ShiftedGeometricFamily, p: int) -> AperyGridTriple:
     """Emit the Apery position set for c > 0 and 0 <= p <= q.
 
     Layout: a (b+1)-wide block of q-p full rows, a partial row of r entries,
@@ -316,7 +312,7 @@ def apery_grid_triple(t: ShiftedGeometricTriple, p: int) -> AperyGridTriple:
     )
 
 
-def g_p_closed_quad(qd: ShiftedGeometricQuad, p: int) -> int:
+def g_p_closed_quad(qd: ShiftedGeometricFamily, p: int) -> int:
     """Closed-form p-Frobenius number of a four-term family, 0 <= p <= b - beta.
 
     Only positive shifts are covered; beyond b - beta the maximal-position
@@ -337,6 +333,35 @@ def g_p_closed_quad(qd: ShiftedGeometricQuad, p: int) -> int:
     if d.gamma >= 1:
         return (d.gamma - 1) * g2 + (d.beta + p) * g3 + d.alpha * g4 - g1
     return (qd.b + d.beta + p) * g3 + (d.alpha - 1) * g4 - g1
+
+
+#: The closed forms' typed refusals, and the tag reports give each.
+CLOSED_ERROR_TAGS = {
+    NoClosedFormCaseError: "NoClosedFormCase",
+    OutOfValidityRangeError: "OutOfValidityRange",
+    UnsupportedCaseError: "Unsupported",
+}
+CLOSED_ERRORS = tuple(CLOSED_ERROR_TAGS)
+
+
+def closed_value(fam: ShiftedGeometricFamily, quantity: str, p: int) -> int:
+    """Closed-form g_p (quantity "frobenius") or n_p ("sylvester") of a family.
+
+    Raises one of CLOSED_ERRORS where no closed form applies.
+    """
+    if quantity == "frobenius":
+        return g_p_closed_triple(fam, p) if fam.k == 3 else g_p_closed_quad(fam, p)
+    if fam.k == 3:
+        return n_p_closed_triple(fam, p)
+    raise UnsupportedCaseError("no closed p-Sylvester form for four generators")
+
+
+def case_tag(fam: ShiftedGeometricFamily) -> str | None:
+    """The negative-shift branch of a triple as reports print it; else None."""
+    if fam.k == 3 and fam.c < 0:
+        cid = closed_form_case(fam).case_id
+        return "NoCaseApplies" if cid is None else str(cid)
+    return None
 
 
 def g_p_two_gens(a: int, b: int, p: int) -> int:

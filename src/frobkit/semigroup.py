@@ -9,6 +9,7 @@ are plain Python integers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -83,15 +84,21 @@ class GeneratorTuple:
         return len(self.gens)
 
     def redundant_generators(self) -> tuple[int, ...]:
-        """Generators expressible by the others.
+        """Generators expressible by the smaller ones.
 
         Such a generator leaves the semigroup unchanged but still raises
-        representation counts, so it is legal input; reports flag it.
+        representation counts, so it is legal input; reports flag it. The
+        check needs a count table up to the largest generator, within the
+        table cap.
         """
+        cap = effective_table_cap()
         out = []
-        for i, g in enumerate(self.gens):
-            others = self.gens[:i] + self.gens[i + 1 :]
-            if others and _raw_counts(others, g)[g] > 0:
+        for i, g in enumerate(self.gens[1:], 1):
+            if g + 1 > cap:
+                raise ResourceLimitError(
+                    f"redundancy check needs {g + 1} table entries, cap is {cap}"
+                )
+            if _raw_counts(self.gens[:i], g)[g] > 0:
                 out.append(g)
         return tuple(out)
 
@@ -170,33 +177,86 @@ def _check_p(p: int) -> None:
         raise InvalidInputError(f"p must be >= 0, got {p}")
 
 
-def apery_set(
-    gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
-) -> AperyTable:
-    """Compute the order-p Apery table by growing a count table geometrically."""
-    gt = as_generators(gens)
-    _check_p(p)
+def _window_table(
+    gt: GeneratorTuple, p: int, table_cap: int | None
+) -> tuple[list[int], int | None]:
+    """Grow a count table geometrically until the window for p closes in it.
+
+    Termination: d(m + a1) >= d(m) because appending one more copy of the
+    minimum generator maps representations of m injectively into those of
+    m + a1. Hence once a1 consecutive values all have d >= p + 1, every
+    larger value does too, so the last m with d(m) <= p is g_p once it lies
+    a1 below the table's end; the table then holds every p-Apery element.
+    Returns the table and g_p, or the table at the cap and None.
+    """
     a1 = gt.a1
-    need = p + 1
     cap = effective_table_cap(table_cap)
     bound = max((p + 2) * gt.gens[-1], 4 * a1)
     while True:
         bound = min(bound, cap - 1)
         counts = _raw_counts(gt.gens, bound)
-        entries: list[int | None] = [None] * a1
-        found = 0
-        for m, cnt in enumerate(counts):
-            if cnt >= need and entries[m % a1] is None:
-                entries[m % a1] = m
-                found += 1
-                if found == a1:
-                    return AperyTable(gt, p, tuple(entries))  # type: ignore[arg-type]
+        g = next((m for m in range(bound, -1, -1) if counts[m] <= p), -1)
+        if g + a1 <= bound:
+            return counts, g
         if bound >= cap - 1:
-            raise ResourceLimitError(
-                f"Apery scan for p={p} exceeded table cap {cap} "
-                f"({found}/{a1} residue classes filled)"
-            )
+            return counts, None
         bound *= 2
+
+
+def scan_p_range(
+    gens: GeneratorTuple | Iterable[int], p_max: int, *, table_cap: int | None = None
+) -> list[tuple[int, int] | None]:
+    """(g_p, n_p) for every 0 <= p <= p_max, read from one count table.
+
+    An entry is None where the table cap stops that p; since g_p never
+    decreases as p grows, those entries form a tail of the list.
+    """
+    gt = as_generators(gens)
+    _check_p(p_max)
+    counts = _window_table(gt, p_max, table_cap)[0]
+    last = [-1] * (p_max + 1)  # last m with d(m) = p, then with d(m) <= p
+    low = [0] * (p_max + 1)  # how many m have d(m) = p, then d(m) <= p
+    for m, cnt in enumerate(counts):
+        if cnt <= p_max:
+            last[cnt] = m
+            low[cnt] += 1
+    end = len(counts) - 1
+    return [
+        (g, n) if g + gt.a1 <= end else None
+        for g, n in zip(itertools.accumulate(last, max), itertools.accumulate(low))
+    ]
+
+
+def require_row(
+    row: tuple[int, int] | None, p: int, table_cap: int | None = None
+) -> tuple[int, int]:
+    """A scan's (g_p, n_p); ResourceLimitError where the table cap stopped p."""
+    if row is None:
+        cap = effective_table_cap(table_cap)
+        raise ResourceLimitError(f"forward scan for p={p} exceeded table cap {cap}")
+    return row
+
+
+def apery_set(
+    gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
+) -> AperyTable:
+    """Compute the order-p Apery table from the count table its window closes in."""
+    gt = as_generators(gens)
+    _check_p(p)
+    a1 = gt.a1
+    counts = _window_table(gt, p, table_cap)[0]
+    entries: list[int | None] = [None] * a1
+    found = 0
+    for m, cnt in enumerate(counts):
+        if cnt > p and entries[m % a1] is None:
+            entries[m % a1] = m
+            found += 1
+            if found == a1:
+                return AperyTable(gt, p, tuple(entries))  # type: ignore[arg-type]
+    raise ResourceLimitError(
+        f"Apery scan for p={p} exceeded table cap {effective_table_cap(table_cap)} "
+        f"({found}/{a1} residue classes filled)"
+    )
 
 
 def p_frobenius_via_apery(
@@ -208,47 +268,21 @@ def p_frobenius_via_apery(
 
 
 def _scan_low_counts(
-    gt: GeneratorTuple, p: int, table_cap: int | None
+    gens: GeneratorTuple | Iterable[int], p: int, table_cap: int | None
 ) -> tuple[int, int]:
-    """Largest m with d(m) <= p, and how many such m exist.
-
-    Termination: d(m + a1) >= d(m) because appending one more copy of the
-    minimum generator maps representations of m injectively into those of
-    m + a1. Hence once a1 consecutive values all have d >= p + 1, every
-    larger value does too, and the scan below that window is complete.
-    """
+    """Largest m with d(m) <= p, and how many such m exist."""
+    gt = as_generators(gens)
     _check_p(p)
-    a1 = gt.a1
-    need = p + 1
-    cap = effective_table_cap(table_cap)
-    bound = max((p + 2) * gt.gens[-1], 4 * a1)
-    while True:
-        bound = min(bound, cap - 1)
-        counts = _raw_counts(gt.gens, bound)
-        largest = -1
-        low = 0
-        run = 0
-        for m, cnt in enumerate(counts):
-            if cnt >= need:
-                run += 1
-                if run == a1:
-                    return largest, low
-            else:
-                run = 0
-                largest = m
-                low += 1
-        if bound >= cap - 1:
-            raise ResourceLimitError(
-                f"forward scan for p={p} exceeded table cap {cap}"
-            )
-        bound *= 2
+    counts, g = _window_table(gt, p, table_cap)
+    row = None if g is None else (g, sum(cnt <= p for cnt in counts))
+    return require_row(row, p, table_cap)
 
 
 def p_frobenius_scan(
     gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
 ) -> int:
     """p-Frobenius number by forward scan; independent of the Apery route."""
-    return _scan_low_counts(as_generators(gens), p, table_cap)[0]
+    return _scan_low_counts(gens, p, table_cap)[0]
 
 
 def p_sylvester_via_apery(
@@ -274,4 +308,4 @@ def p_sylvester_count(
     m = 0 is included whenever p >= 1 since d(0) = 1; for p = 0 this is the
     classical gap count.
     """
-    return _scan_low_counts(as_generators(gens), p, table_cap)[1]
+    return _scan_low_counts(gens, p, table_cap)[1]

@@ -1,37 +1,34 @@
 """Cross-checks closed forms against the scan oracle over parameter grids.
 
-Point evaluations are pure and independent, so sweeps may run them in a
-process pool; results are aggregated in enumeration order either way, and
+A sweep evaluates each parameter tuple for all of its p from one oracle
+pass. Tuple evaluations are pure and independent, so sweeps may run them in
+a process pool; results are aggregated in enumeration order either way, and
 two runs of the same spec produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 
-from .errors import (
-    FrobkitError,
-    InvalidInputError,
-    NoClosedFormCaseError,
-    OutOfValidityRangeError,
-    ResourceLimitError,
-    UnsupportedCaseError,
-)
+from .errors import FrobkitError, InvalidInputError
 from .families import (
-    ShiftedGeometricQuad,
-    ShiftedGeometricTriple,
+    CLOSED_ERROR_TAGS,
+    CLOSED_ERRORS,
+    ShiftedGeometricFamily,
     abg_decompose,
-    closed_form_case,
-    g_p_closed_quad,
-    g_p_closed_triple,
+    case_tag,
+    closed_value,
     g_p_two_gens,
     make_quad,
     make_triple,
     qr_decompose,
 )
-from .semigroup import GeneratorTuple, p_frobenius_scan
+from .semigroup import GeneratorTuple, p_frobenius_scan, scan_p_range
 
 #: Tuples whose minimum generator exceeds this are skipped to keep sweeps cheap.
 DEFAULT_MIN_GEN_CAP = 20000
@@ -80,6 +77,46 @@ class SweepSpec:
             )
         if isinstance(self.p_policy, int) and self.p_policy < 0:
             raise InvalidInputError(f"fixed p_policy must be >= 0, got {self.p_policy}")
+        if self.sample_limit is not None and self.sample_limit < 0:
+            raise InvalidInputError(
+                f"sample_limit must be >= 0, got {self.sample_limit}"
+            )
+
+    def tuples(self) -> list[tuple[int, int, int, int]]:
+        """The (a, b, c, n) the sweep visits, in enumeration order.
+
+        The grid runs over a, b, c, n, outermost first, and skips c = 0.
+        With sample_limit set, sample_seed picks that many grid indices,
+        which are decoded without building the grid.
+        """
+        (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (n_lo, n_hi) = (
+            self.a_range, self.b_range, self.c_range, self.n_range
+        )
+        skip_zero = c_lo <= 0 <= c_hi
+        nb, nc, nn = b_hi - b_lo + 1, c_hi - c_lo + 1 - skip_zero, n_hi - n_lo + 1
+        size = (a_hi - a_lo + 1) * nb * nc * nn
+        if size > sys.maxsize:
+            raise InvalidInputError(f"the grid has {size} tuples, too many to index")
+        indices = range(size)
+        if self.sample_limit is not None and size > self.sample_limit:
+            rng = random.Random(self.sample_seed)
+            indices = sorted(rng.sample(indices, self.sample_limit))
+        out = []
+        for i in indices:
+            i, n = divmod(i, nn)
+            i, c = divmod(i, nc)
+            a, b = divmod(i, nb)
+            c += c_lo
+            if skip_zero and c >= 0:
+                c += 1
+            out.append((a_lo + a, b_lo + b, c, n_lo + n))
+        return out
+
+
+#: The columns of a report's points, in JSON and CSV alike.
+POINT_FIELDS = (
+    "a", "b", "c", "n", "p", "closed", "closed_error", "oracle", "case", "match"
+)
 
 
 @dataclass(frozen=True)
@@ -98,6 +135,17 @@ class PointResult:
     oracle_error: str | None
     case: str | None
     match: bool
+
+    @property
+    def outcome(self) -> str:
+        """The SweepSummary field this point is counted under."""
+        if self.closed_error in ("NoClosedFormCase", "Unsupported"):
+            return "no_case"
+        if self.closed_error == "OutOfValidityRange":
+            return "out_of_range"
+        if self.oracle_error is not None:
+            return "resource_limit"
+        return "matched" if self.match else "mismatched"
 
 
 @dataclass(frozen=True)
@@ -124,119 +172,93 @@ class VerificationReport:
     def to_json_obj(self) -> dict:
         """Schema-stable dict; all numbers rendered as decimal strings."""
         return {
-            "summary": {
-                "total": self.summary.total,
-                "matched": self.summary.matched,
-                "mismatched": self.summary.mismatched,
-                "skipped_gcd": self.summary.skipped_gcd,
-                "no_case": self.summary.no_case,
-                "out_of_range": self.summary.out_of_range,
-                "skipped_large": self.summary.skipped_large,
-                "resource_limit": self.summary.resource_limit,
-            },
+            "summary": asdict(self.summary),
             "points": [
-                {
-                    "a": str(pt.a),
-                    "b": str(pt.b),
-                    "c": str(pt.c),
-                    "n": str(pt.n),
-                    "p": str(pt.p),
-                    "closed": None if pt.closed is None else str(pt.closed),
-                    "closed_error": pt.closed_error,
-                    "oracle": None if pt.oracle is None else str(pt.oracle),
-                    "case": pt.case,
-                    "match": pt.match,
-                }
+                {f: _json_value(getattr(pt, f)) for f in POINT_FIELDS}
                 for pt in self.points
             ],
         }
 
     def to_csv_rows(self) -> list[list[str]]:
         """Header plus one row per point."""
-        rows = [
-            [
-                "a", "b", "c", "n", "p",
-                "closed", "closed_error", "oracle", "case", "match",
-            ]
-        ]
+        rows = [list(POINT_FIELDS)]
         for pt in self.points:
-            rows.append(
-                [
-                    str(pt.a), str(pt.b), str(pt.c), str(pt.n), str(pt.p),
-                    "" if pt.closed is None else str(pt.closed),
-                    pt.closed_error or "",
-                    "" if pt.oracle is None else str(pt.oracle),
-                    pt.case or "",
-                    str(pt.match).lower(),
-                ]
-            )
+            *values, match = (getattr(pt, f) for f in POINT_FIELDS)
+            values = ["" if v is None else str(v) for v in values]
+            rows.append(values + [str(match).lower()])
         return rows
 
 
-_ERROR_TAGS = {
-    NoClosedFormCaseError: "NoClosedFormCase",
-    OutOfValidityRangeError: "OutOfValidityRange",
-    UnsupportedCaseError: "Unsupported",
-}
+def _json_value(v: int | str | bool | None) -> str | bool | None:
+    return v if v is None or isinstance(v, (bool, str)) else str(v)
 
 
-def _closed_g(params: ShiftedGeometricTriple | ShiftedGeometricQuad, p: int) -> int:
-    if isinstance(params, ShiftedGeometricTriple):
-        return g_p_closed_triple(params, p)
-    return g_p_closed_quad(params, p)
-
-
-def verify_point(
-    params: ShiftedGeometricTriple | ShiftedGeometricQuad,
+def _point(
+    params: ShiftedGeometricFamily,
     p: int,
-    *,
-    table_cap: int | None = None,
+    case: str | None,
+    oracle: tuple[int, int] | None,
 ) -> PointResult:
-    """Evaluate closed form and oracle at one (params, p) point."""
-    vars_ = 3 if isinstance(params, ShiftedGeometricTriple) else 4
+    """Compare the closed form at p with the oracle's (g_p, n_p) for p."""
     closed: int | None = None
     closed_error: str | None = None
     try:
-        closed = _closed_g(params, p)
-    except tuple(_ERROR_TAGS) as exc:
-        closed_error = _ERROR_TAGS[type(exc)]
-    case: str | None = None
-    if vars_ == 3 and params.c < 0:
-        cid = closed_form_case(params).case_id
-        case = "NoCaseApplies" if cid is None else str(cid)
-    oracle: int | None = None
-    oracle_error: str | None = None
-    try:
-        oracle = p_frobenius_scan(params.gens, p, table_cap=table_cap)
-    except ResourceLimitError:
-        oracle_error = "ResourceLimit"
+        closed = closed_value(params, "frobenius", p)
+    except CLOSED_ERRORS as exc:
+        closed_error = CLOSED_ERROR_TAGS[type(exc)]
+    g = None if oracle is None else oracle[0]
     return PointResult(
         a=params.a,
         b=params.b,
         c=params.c,
         n=params.n,
-        vars=vars_,
+        vars=params.k,
         p=p,
         closed=closed,
         closed_error=closed_error,
-        oracle=oracle,
-        oracle_error=oracle_error,
+        oracle=g,
+        oracle_error="ResourceLimit" if oracle is None else None,
         case=case,
-        match=closed is not None and oracle is not None and closed == oracle,
+        match=closed is not None and closed == g,
     )
 
 
-def theorem_p_range(params: ShiftedGeometricTriple | ShiftedGeometricQuad) -> range:
+def verify_point(
+    params: ShiftedGeometricFamily,
+    p: int,
+    *,
+    table_cap: int | None = None,
+) -> PointResult:
+    """Evaluate closed form and oracle at one (params, p) point."""
+    oracle = scan_p_range(params.gens, p, table_cap=table_cap)[p]
+    return _point(params, p, case_tag(params), oracle)
+
+
+def theorem_p_range(params: ShiftedGeometricFamily) -> range:
     """The p values the closed form is stated for: 0..q or 0..b-beta."""
-    if isinstance(params, ShiftedGeometricTriple):
+    if params.k == 3:
         return range(qr_decompose(params).q + 1)
     return range(params.b - abg_decompose(params).beta + 1)
 
 
-def _evaluate_task(task: tuple) -> PointResult:
-    a, b, c, n, vars_, p, table_cap = task
-    make = make_triple if vars_ == 3 else make_quad
-    return verify_point(make(a, b, c, n), p, table_cap=table_cap)
+def _evaluate_tuple(
+    spec: SweepSpec, table_cap: int | None, abcn: tuple[int, int, int, int]
+) -> tuple[PointResult, ...] | str:
+    """One tuple's points from one oracle pass, or the field it is skipped under."""
+    make = make_triple if spec.vars == 3 else make_quad
+    try:
+        params = make(*abcn)
+    except FrobkitError:
+        return "skipped_gcd"
+    if params.gens.a1 > spec.min_gen_cap:
+        return "skipped_large"
+    if spec.p_policy == "theorem-range":
+        p_values = theorem_p_range(params)
+    else:
+        p_values = range(int(spec.p_policy) + 1)
+    oracle = scan_p_range(params.gens, p_values[-1], table_cap=table_cap)
+    case = case_tag(params)
+    return tuple(_point(params, p, case, oracle[p]) for p in p_values)
 
 
 def verify_grid(
@@ -251,73 +273,27 @@ def verify_grid(
     skipped. Report ordering follows tuple enumeration order regardless of
     worker count.
     """
-    tuples = [
-        (a, b, c, n)
-        for a in range(spec.a_range[0], spec.a_range[1] + 1)
-        for b in range(spec.b_range[0], spec.b_range[1] + 1)
-        for c in range(spec.c_range[0], spec.c_range[1] + 1)
-        if c != 0
-        for n in range(spec.n_range[0], spec.n_range[1] + 1)
-    ]
-    if spec.sample_limit is not None and len(tuples) > spec.sample_limit:
-        rng = random.Random(spec.sample_seed)
-        keep = sorted(rng.sample(range(len(tuples)), spec.sample_limit))
-        tuples = [tuples[i] for i in keep]
-
-    make = make_triple if spec.vars == 3 else make_quad
-    skipped_gcd = 0
-    skipped_large = 0
-    tasks: list[tuple] = []
-    for a, b, c, n in tuples:
-        try:
-            params = make(a, b, c, n)
-        except FrobkitError:
-            skipped_gcd += 1
-            continue
-        if params.gens.a1 > spec.min_gen_cap:
-            skipped_large += 1
-            continue
-        if spec.p_policy == "theorem-range":
-            p_values = theorem_p_range(params)
-        else:
-            p_values = range(int(spec.p_policy) + 1)
-        for p in p_values:
-            tasks.append((a, b, c, n, spec.vars, p, table_cap))
-
-    if workers > 1 and tasks:
+    tuples = spec.tuples()
+    evaluate = partial(_evaluate_tuple, spec, table_cap)
+    if workers > 1 and tuples:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (workers * 4))
-            points = tuple(pool.map(_evaluate_task, tasks, chunksize=chunk))
+            chunk = max(1, len(tuples) // (workers * 4))
+            results = list(pool.map(evaluate, tuples, chunksize=chunk))
     else:
-        points = tuple(_evaluate_task(t) for t in tasks)
+        results = [evaluate(t) for t in tuples]
 
-    matched = mismatched = no_case = out_of_range = resource_limit = 0
-    for pt in points:
-        if pt.closed_error in ("NoClosedFormCase", "Unsupported"):
-            no_case += 1
-        elif pt.closed_error == "OutOfValidityRange":
-            out_of_range += 1
-        elif pt.oracle_error is not None:
-            resource_limit += 1
-        elif pt.match:
-            matched += 1
-        else:
-            mismatched += 1
+    points = tuple(pt for r in results if not isinstance(r, str) for pt in r)
+    tally = Counter(r for r in results if isinstance(r, str))
+    tally.update(pt.outcome for pt in points)
     summary = SweepSummary(
-        total=len(points) + skipped_gcd + skipped_large,
-        matched=matched,
-        mismatched=mismatched,
-        skipped_gcd=skipped_gcd,
-        no_case=no_case,
-        out_of_range=out_of_range,
-        skipped_large=skipped_large,
-        resource_limit=resource_limit,
+        total=sum(tally.values()),
+        **{f.name: tally[f.name] for f in fields(SweepSummary) if f.name != "total"},
     )
     return VerificationReport(spec=spec, points=points, summary=summary)
 
 
 def discover_validity(
-    params: ShiftedGeometricTriple | ShiftedGeometricQuad | GeneratorTuple | tuple,
+    params: ShiftedGeometricFamily | GeneratorTuple | tuple,
     p_max: int,
     *,
     table_cap: int | None = None,
@@ -327,11 +303,11 @@ def discover_validity(
     Accepts a triple, a quad, or a pair of coprime generators; returns -1
     when the closed form already fails at p = 0.
     """
-    if isinstance(params, (ShiftedGeometricTriple, ShiftedGeometricQuad)):
+    if isinstance(params, ShiftedGeometricFamily):
         gens = params.gens
 
         def closed(p: int) -> int:
-            return _closed_g(params, p)
+            return closed_value(params, "frobenius", p)
 
     else:
         pair = params.gens if isinstance(params, GeneratorTuple) else tuple(params)

@@ -4,8 +4,9 @@ import csv
 import io
 import json
 
+from frobkit import cli
 from frobkit.cli import main
-from frobkit.semigroup import TABLE_CAP_ENV
+from frobkit.semigroup import TABLE_CAP_ENV, p_frobenius_scan, p_sylvester_count
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +80,32 @@ class TestCompute:
         assert obj["generators"] == ["21", "61", "141"]
         once = json.dumps(json.loads(out))
         assert json.dumps(json.loads(once)) == once
+
+    def test_redundancy_check_past_cap_exits_3_before_output(self, capsys, monkeypatch):
+        # gens (997, 9997, 99997): the closed form is cheap, the redundancy
+        # check would need a 99998-entry table
+        monkeypatch.setenv(TABLE_CAP_ENV, "1000")
+        code, out, err = run_cli(
+            capsys,
+            "compute", "--a", "1", "--b", "10", "--c", "3", "--n", "3",
+            "--p", "0", "--method", "closed",
+        )
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+
+    def test_memory_error_exits_3(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "p_frobenius_scan", exhausted)
+        code, _, err = run_cli(
+            capsys,
+            "compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
+            "--p", "0", "--method", "oracle",
+        )
+        assert code == 3
+        assert "memory" in err
 
 
 class TestApery:
@@ -155,6 +182,27 @@ class TestVerify:
         assert point["a"] == "5" and point["oracle"] == "947"
         assert point["match"] is True
 
+    def test_text_summary_counts_add_up_under_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv(TABLE_CAP_ENV, "200")
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--a-range", "1..2", "--b-range", "2..3",
+            "--c-range", "1..5", "--n-range", "1..2",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        fields = dict(part.split("=") for part in lines[0].split())
+        assert int(fields["resource_limit"]) > 0
+        total = int(fields.pop("total"))
+        assert sum(map(int, fields.values())) == total
+        assert lines[1:] == []  # no point was counted as mismatched
+        assert "oracle=None" not in out
+
+    def test_negative_limit_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--limit", "-1")
+        assert code == 2
+        assert "sample_limit" in err
+
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -214,3 +262,29 @@ class TestTable:
         assert obj["rows"][2]["g"] == "1229"
         once = json.dumps(json.loads(out))
         assert json.dumps(json.loads(once)) == once
+
+    def test_negative_shift_quad_rows_come_from_the_oracle(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "table", "--a", "2", "--b", "3", "--c", "-5", "--n", "2", "--vars", "4",
+            "--p-max", "3", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        gens = (23, 59, 167, 491)
+        assert [[int(r[0]), int(r[1]), int(r[3])] for r in rows] == [
+            [p, p_frobenius_scan(gens, p), p_sylvester_count(gens, p)] for p in range(4)
+        ]
+        assert all(r[2] == r[4] == "oracle" for r in rows)
+
+    def test_row_past_cap_exits_3_with_no_output(self, capsys, monkeypatch):
+        # gens (13, 37, 109), g_p = 316 + 109 p: the n_p column needs the
+        # oracle at every p, and the window of p = 6 ends past 600 entries
+        monkeypatch.setenv(TABLE_CAP_ENV, "600")
+        code, out, err = run_cli(
+            capsys,
+            "table", "--a", "4", "--b", "3", "--c", "-1", "--n", "1", "--p-max", "6",
+        )
+        assert code == 3
+        assert out == ""
+        assert "p=3" in err

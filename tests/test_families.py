@@ -16,6 +16,7 @@ from frobkit import (
     apery_grid_triple,
     apery_set,
     closed_form_case,
+    closed_value,
     denumerant_table,
     g_p_closed_quad,
     g_p_closed_triple,
@@ -28,6 +29,7 @@ from frobkit import (
     qr_decompose,
 )
 from frobkit.errors import FrobkitError
+from frobkit.families import CLOSED_ERROR_TAGS, case_tag
 
 
 def random_positive_triples(count, seed, a_max=4, b_max=4, n_max=2):
@@ -368,6 +370,40 @@ class TestClosedQuad:
         qd = make_quad(2, 3, 37, 3)
         values = [g_p_closed_quad(qd, p) for p in range(3)]
         assert all(x < y for x, y in zip(values, values[1:]))
+
+
+class TestClosedValue:
+    def test_dispatch_by_term_count(self):
+        t, qd = make_triple(5, 2, 19, 3), make_quad(2, 3, 37, 3)
+        assert (t.k, qd.k) == (3, 4)
+        assert closed_value(t, "frobenius", 3) == g_p_closed_triple(t, 3)
+        assert closed_value(t, "sylvester", 3) == n_p_closed_triple(t, 3)
+        assert closed_value(qd, "frobenius", 2) == g_p_closed_quad(qd, 2)
+
+    def test_refusals_are_tagged(self):
+        cases = [
+            (make_quad(2, 3, 37, 3), "sylvester", 0, "Unsupported"),
+            (make_quad(2, 3, 37, 3), "frobenius", 3, "OutOfValidityRange"),
+            (make_triple(1, 3, -100, 1), "frobenius", 0, "NoClosedFormCase"),
+        ]
+        for fam, quantity, p, tag in cases:
+            with pytest.raises(FrobkitError) as info:
+                closed_value(fam, quantity, p)
+            assert CLOSED_ERROR_TAGS[type(info.value)] == tag
+
+    def test_case_tag(self):
+        assert case_tag(make_triple(4, 3, -1, 1)) == "2"
+        assert case_tag(make_triple(1, 3, -100, 1)) == "NoCaseApplies"
+        assert case_tag(make_triple(5, 2, 19, 3)) is None
+        assert case_tag(make_quad(2, 3, -5, 2)) is None
+
+    def test_term_count_is_checked(self):
+        with pytest.raises(InvalidInputError):
+            qr_decompose(make_quad(2, 3, 37, 3))
+        with pytest.raises(InvalidInputError):
+            abg_decompose(make_triple(5, 2, 19, 3))
+        with pytest.raises(InvalidInputError):
+            g_p_closed_triple(make_quad(2, 3, 37, 3), 0)
 
 
 class TestTwoGenerators:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobkit import (
@@ -19,6 +19,7 @@ from frobkit import (
     p_frobenius_via_apery,
     p_sylvester_count,
     p_sylvester_via_apery,
+    scan_p_range,
 )
 from frobkit.semigroup import TABLE_CAP_ENV, effective_table_cap
 
@@ -70,6 +71,13 @@ class TestGeneratorTuple:
         gt = GeneratorTuple((3, 5, 9))  # 9 = 3*3
         assert gt.redundant_generators() == (9,)
         assert GeneratorTuple((3, 5)).redundant_generators() == ()
+
+    def test_redundancy_check_respects_table_cap(self, monkeypatch):
+        monkeypatch.setenv(TABLE_CAP_ENV, "9")
+        assert GeneratorTuple((2, 3, 8)).redundant_generators() == (8,)
+        monkeypatch.setenv(TABLE_CAP_ENV, "8")
+        with pytest.raises(ResourceLimitError):
+            GeneratorTuple((2, 3, 8)).redundant_generators()
 
 
 class TestDenumerant:
@@ -229,3 +237,46 @@ class TestScanTermination:
                     continue
                 for p in range(4):
                     assert p_frobenius_scan((a, b), p) == (p + 1) * a * b - a - b
+
+
+def raw_generator_lists() -> st.SearchStrategy[list[int]]:
+    """Unsorted generator lists with k = 2..5 values, repeats and redundancy allowed."""
+    return st.lists(st.integers(2, 16), min_size=2, max_size=5).filter(
+        lambda gs: math.gcd(*gs) == 1
+    )
+
+
+class TestScanPRange:
+    @given(raw_generator_lists(), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    @example([9, 3, 5, 3], 2)
+    @example([16, 2, 4, 3, 8], 2)
+    def test_one_pass_equals_every_route(self, raw, p_max):
+        gens = GeneratorTuple(tuple(raw)).gens
+        rows = scan_p_range(raw, p_max)
+        assert len(rows) == p_max + 1
+        for p, row in enumerate(rows):
+            assert row == (p_frobenius_scan(raw, p), p_sylvester_count(raw, p))
+            assert row == (p_frobenius_via_apery(raw, p), p_sylvester_via_apery(raw, p))
+            assert row == (naive_g_p(gens, p), naive_n_p(gens, p))
+
+    def test_cap_stops_high_p_only(self):
+        # g_p(2, 3) = 6p + 1, whose window ends at 6p + 3; a cap of 20 entries
+        # holds the windows of p <= 2 only.
+        rows = scan_p_range((2, 3), 5, table_cap=20)
+        assert rows[:3] == [(1, 1), (7, 7), (13, 13)]
+        assert rows[3:] == [None, None, None]
+        assert p_frobenius_scan((2, 3), 2, table_cap=20) == 13
+        with pytest.raises(ResourceLimitError):
+            p_frobenius_scan((2, 3), 3, table_cap=20)
+        with pytest.raises(ResourceLimitError):
+            apery_set((2, 3), 3, table_cap=20)
+        with pytest.raises(ResourceLimitError):  # no per-p storage for a huge p
+            p_frobenius_scan((2, 3), 10**12, table_cap=20)
+        assert scan_p_range((2, 3), 0, table_cap=1) == [None]  # the table is [1]
+        with pytest.raises(ResourceLimitError):
+            p_sylvester_count((2, 3), 0, table_cap=1)
+
+    def test_negative_p_max_rejected(self):
+        with pytest.raises(InvalidInputError):
+            scan_p_range((2, 3), -1)

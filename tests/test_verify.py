@@ -1,6 +1,7 @@
 """Sweep harness: point verification, grid reports, validity discovery."""
 
 import json
+import random
 
 import pytest
 
@@ -127,6 +128,56 @@ class TestVerifyGrid:
         assert r1.points == r2.points
         tuples = {(pt.a, pt.b, pt.c, pt.n) for pt in r1.points}
         assert len(tuples) <= 7
+
+    @pytest.mark.parametrize(
+        "ranges, limit",
+        [
+            (((1, 3), (2, 4), (-10, 10), (1, 2)), 17),
+            (((1, 2), (2, 3), (-6, -1), (1, 3)), 5),
+            (((2, 4), (3, 3), (1, 9), (2, 2)), None),
+            (((1, 1), (2, 2), (0, 0), (1, 1)), None),
+        ],
+    )
+    def test_tuples_match_product_enumeration(self, ranges, limit):
+        (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (n_lo, n_hi) = ranges
+        product = [
+            (a, b, c, n)
+            for a in range(a_lo, a_hi + 1)
+            for b in range(b_lo, b_hi + 1)
+            for c in range(c_lo, c_hi + 1)
+            if c != 0
+            for n in range(n_lo, n_hi + 1)
+        ]
+        for seed in (0, 1, 99):
+            spec = SweepSpec(*ranges, sample_seed=seed, sample_limit=limit)
+            want = product
+            if limit is not None and len(product) > limit:
+                keep = sorted(random.Random(seed).sample(range(len(product)), limit))
+                want = [product[i] for i in keep]
+            assert spec.tuples() == want
+
+    def test_huge_grid_with_limit_is_not_materialised(self):
+        # about 10^12 tuples; every one has a minimum generator far above the
+        # sweep's cost guard, so the one sampled tuple is skipped, not scanned
+        spec = SweepSpec(
+            (100000, 109999), (2, 10001), (1, 100), (1, 100), sample_limit=1
+        )
+        report = verify_grid(spec)
+        assert report.summary.total == 1
+        assert report.points == ()
+
+    def test_rejects_negative_limit(self):
+        with pytest.raises(InvalidInputError):
+            SweepSpec((1, 2), (2, 3), (1, 5), (1, 1), sample_limit=-1)
+
+    def test_table_cap_counts_resource_limits(self):
+        spec = SweepSpec((1, 2), (2, 3), (1, 5), (1, 2))
+        report = verify_grid(spec, table_cap=200)
+        assert report.summary.resource_limit == 10
+        assert report.summary.mismatched == 0
+        assert summary_parts_sum(report.summary) == report.summary.total
+        for pt in report.points:
+            assert (pt.oracle is None) == (pt.outcome == "resource_limit")
 
     def test_quad_sweep_runs(self):
         spec = SweepSpec((2, 2), (3, 3), (37, 37), (3, 3), vars=4)
