@@ -1,7 +1,8 @@
 """Command-line surface: compute, apery, verify, and table subcommands.
 
 Exit codes are a stable contract: 0 success/agreement, 1 verification or
-method mismatch, 2 invalid input, 3 resource limit. JSON output renders all
+method mismatch, 2 invalid input, 3 resource limit, and 141 when the reader
+of stdout closes it early (as SIGPIPE would). JSON output renders all
 numbers as decimal strings to preserve arbitrary precision.
 """
 
@@ -9,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import re
 import sys
 
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout was closed by its reader
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
@@ -57,9 +59,7 @@ def _emit_json(obj: dict) -> None:
 
 
 def _emit_csv(rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _make_family(args) -> ShiftedGeometricFamily:
@@ -87,9 +87,7 @@ def cmd_compute(args) -> int:
             closed = closed_value(params, args.quantity, args.p)
         except CLOSED_ERRORS as exc:
             closed_error = CLOSED_ERROR_TAGS[type(exc)]
-    if args.method in ("oracle", "both") or (
-        args.method == "closed" and closed is None
-    ):
+    if args.method != "closed" or closed is None:
         scan = p_frobenius_scan if args.quantity == "frobenius" else p_sylvester_count
         oracle = scan(params.gens, args.p)
     if args.method == "closed" and closed is None:
@@ -148,10 +146,9 @@ def _parse_gens(text: str) -> GeneratorTuple:
 
 
 def cmd_apery(args) -> int:
-    grid = None
+    grid = params = None
     if args.gens is not None:
         gens = _parse_gens(args.gens)
-        params = None
     else:
         if None in (args.a, args.b, args.c, args.n):
             raise InvalidInputError("provide either --gens or all of --a --b --c --n")
@@ -237,6 +234,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.p_max < 0:
+        raise InvalidInputError(f"--p-max must be >= 0, got {args.p_max}")
     params = _make_family(args)
     # Closed forms first; the cells they refuse share one oracle pass.
     cells: dict[tuple[int, int], tuple[int, str] | None] = {}
@@ -373,7 +372,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -83,7 +83,7 @@ class ClosedFormCase:
     conditions: CaseConditions
 
 
-def _validate_params(a: int, b: int, c: int, n: int) -> None:
+def _family_gens(a: int, b: int, c: int, n: int, k: int) -> GeneratorTuple:
     if a < 1:
         raise InvalidInputError(f"a must be >= 1, got {a}")
     if b < 2:
@@ -92,9 +92,6 @@ def _validate_params(a: int, b: int, c: int, n: int) -> None:
         raise InvalidInputError("c must be nonzero")
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-
-
-def _family_gens(a: int, b: int, c: int, n: int, k: int) -> GeneratorTuple:
     g1 = a * b**n - c
     if g1 < 2:
         raise InvalidInputError(
@@ -109,13 +106,11 @@ def _family_gens(a: int, b: int, c: int, n: int, k: int) -> GeneratorTuple:
 
 def make_triple(a: int, b: int, c: int, n: int) -> ShiftedGeometricFamily:
     """Validated three-term family constructor."""
-    _validate_params(a, b, c, n)
     return ShiftedGeometricFamily(a, b, c, n, _family_gens(a, b, c, n, 3))
 
 
 def make_quad(a: int, b: int, c: int, n: int) -> ShiftedGeometricFamily:
     """Validated four-term family constructor."""
-    _validate_params(a, b, c, n)
     return ShiftedGeometricFamily(a, b, c, n, _family_gens(a, b, c, n, 4))
 
 
@@ -176,9 +171,10 @@ def g_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
     """Closed-form p-Frobenius number of a three-term family, 0 <= p <= q.
 
     For c > 0 the largest Apery element sits at (r-1, q+p) when r >= 1 and
-    at (b, q+p-1) when r = 0. For c < 0 the position depends on the case
-    selector; r = 0 inputs reduce to cases 2/4 and are oracle-gated by the
-    verification sweeps rather than trusted blindly.
+    at (b, q+p-1) when r = 0: the positions of cases 1 and 2 below. For
+    c < 0 the case selector picks one of four positions; r = 0 inputs reduce
+    to cases 2/4 and are oracle-gated by the verification sweeps rather than
+    trusted blindly.
     """
     if p < 0:
         raise InvalidInputError(f"p must be >= 0, got {p}")
@@ -187,19 +183,15 @@ def g_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
     if p > q:
         raise OutOfValidityRangeError(f"p={p} exceeds validity bound q={q}")
     g1, g2, g3 = t.gens.gens
-    if t.c > 0:
-        if r >= 1:
-            return (r - 1) * g2 + (q + p) * g3 - g1
-        return t.b * g2 + (q + p - 1) * g3 - g1
-    case = closed_form_case(t)
     b = t.b
-    if case.case_id == 1:
+    case_id = closed_form_case(t).case_id if t.c < 0 else (1 if r >= 1 else 2)
+    if case_id == 1:
         return (r - 1) * g2 + (q + p) * g3 - g1
-    if case.case_id == 2:
+    if case_id == 2:
         return b * g2 + (q + p - 1) * g3 - g1
-    if case.case_id == 3:
+    if case_id == 3:
         return (p * b + r + p - 1) * g2 + (q - p) * g3 - g1
-    if case.case_id == 4:
+    if case_id == 4:
         # The case-4 maximal position has x3 = q - p - 1, which must exist;
         # at p = q the pattern provably breaks (oracle disagrees).
         if p > q - 1:

@@ -1,10 +1,11 @@
 """Generic numerical-semigroup engine.
 
 Formula-free machinery: denumerants by coin-counting DP, p-Apery sets, and
-two independent oracle routes to the p-Frobenius and p-Sylvester numbers
-(via the Apery set, and via a forward scan with a sound termination window).
-All arithmetic is exact; representation counts can exceed 64 bits, so counts
-are plain Python integers.
+two oracle routes to the p-Frobenius and p-Sylvester numbers (via the Apery
+set, and via a forward scan with a sound termination window) that read one
+count table; `tests/_naive.py` and `bench/reference.py` are the independent
+checks. All arithmetic is exact; counts can exceed 64 bits, so they are
+plain Python integers.
 """
 
 from __future__ import annotations
@@ -88,19 +89,18 @@ class GeneratorTuple:
 
         Such a generator leaves the semigroup unchanged but still raises
         representation counts, so it is legal input; reports flag it. The
-        check needs a count table up to the largest generator, within the
-        table cap.
+        check reads one count table up to the largest generator, within the
+        table cap: d(g) counts g itself once, and any other representation
+        of g uses smaller generators only, so g is redundant iff d(g) >= 2.
         """
         cap = effective_table_cap()
-        out = []
-        for i, g in enumerate(self.gens[1:], 1):
-            if g + 1 > cap:
-                raise ResourceLimitError(
-                    f"redundancy check needs {g + 1} table entries, cap is {cap}"
-                )
-            if _raw_counts(self.gens[:i], g)[g] > 0:
-                out.append(g)
-        return tuple(out)
+        top = self.gens[-1]
+        if top + 1 > cap:
+            raise ResourceLimitError(
+                f"redundancy check needs {top + 1} table entries, cap is {cap}"
+            )
+        counts = _raw_counts(self.gens, top)
+        return tuple(g for g in self.gens if counts[g] >= 2)
 
 
 def as_generators(gens: GeneratorTuple | Iterable[int]) -> GeneratorTuple:
@@ -281,7 +281,7 @@ def _scan_low_counts(
 def p_frobenius_scan(
     gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
 ) -> int:
-    """p-Frobenius number by forward scan; independent of the Apery route."""
+    """p-Frobenius number by forward scan of the Apery route's count table."""
     return _scan_low_counts(gens, p, table_cap)[0]
 
 

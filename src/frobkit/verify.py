@@ -28,7 +28,7 @@ from .families import (
     make_triple,
     qr_decompose,
 )
-from .semigroup import GeneratorTuple, p_frobenius_scan, scan_p_range
+from .semigroup import GeneratorTuple, effective_table_cap, require_row, scan_p_range
 
 #: Tuples whose minimum generator exceeds this are skipped to keep sweeps cheap.
 DEFAULT_MIN_GEN_CAP = 20000
@@ -57,18 +57,15 @@ class SweepSpec:
         ):
             if lo > hi:
                 raise InvalidInputError(f"{name} is empty: {lo}..{hi}")
-        if self.b_range[0] < 2:
-            raise InvalidInputError(
-                f"b_range lower bound must be >= 2, got {self.b_range[0]}"
-            )
-        if self.a_range[0] < 1:
-            raise InvalidInputError(
-                f"a_range lower bound must be >= 1, got {self.a_range[0]}"
-            )
-        if self.n_range[0] < 1:
-            raise InvalidInputError(
-                f"n_range lower bound must be >= 1, got {self.n_range[0]}"
-            )
+        for name, (lo, _), least in (
+            ("b_range", self.b_range, 2),
+            ("a_range", self.a_range, 1),
+            ("n_range", self.n_range, 1),
+        ):
+            if lo < least:
+                raise InvalidInputError(
+                    f"{name} lower bound must be >= {least}, got {lo}"
+                )
         if self.vars not in (3, 4):
             raise InvalidInputError(f"vars must be 3 or 4, got {self.vars}")
         if isinstance(self.p_policy, str) and self.p_policy != "theorem-range":
@@ -193,34 +190,38 @@ def _json_value(v: int | str | bool | None) -> str | bool | None:
     return v if v is None or isinstance(v, (bool, str)) else str(v)
 
 
-def _point(
-    params: ShiftedGeometricFamily,
-    p: int,
-    case: str | None,
-    oracle: tuple[int, int] | None,
-) -> PointResult:
-    """Compare the closed form at p with the oracle's (g_p, n_p) for p."""
-    closed: int | None = None
-    closed_error: str | None = None
-    try:
-        closed = closed_value(params, "frobenius", p)
-    except CLOSED_ERRORS as exc:
-        closed_error = CLOSED_ERROR_TAGS[type(exc)]
-    g = None if oracle is None else oracle[0]
-    return PointResult(
-        a=params.a,
-        b=params.b,
-        c=params.c,
-        n=params.n,
-        vars=params.k,
-        p=p,
-        closed=closed,
-        closed_error=closed_error,
-        oracle=g,
-        oracle_error="ResourceLimit" if oracle is None else None,
-        case=case,
-        match=closed is not None and closed == g,
-    )
+def _points(
+    params: ShiftedGeometricFamily, p_values: range, table_cap: int | None
+) -> tuple[PointResult, ...]:
+    """Closed form vs oracle at each p in p_values, from one oracle pass."""
+    oracle = scan_p_range(params.gens, p_values[-1], table_cap=table_cap)
+    case = case_tag(params)
+    points = []
+    for p in p_values:
+        closed: int | None = None
+        closed_error: str | None = None
+        try:
+            closed = closed_value(params, "frobenius", p)
+        except CLOSED_ERRORS as exc:
+            closed_error = CLOSED_ERROR_TAGS[type(exc)]
+        g = None if oracle[p] is None else oracle[p][0]
+        points.append(
+            PointResult(
+                a=params.a,
+                b=params.b,
+                c=params.c,
+                n=params.n,
+                vars=params.k,
+                p=p,
+                closed=closed,
+                closed_error=closed_error,
+                oracle=g,
+                oracle_error="ResourceLimit" if g is None else None,
+                case=case,
+                match=closed is not None and closed == g,
+            )
+        )
+    return tuple(points)
 
 
 def verify_point(
@@ -230,8 +231,7 @@ def verify_point(
     table_cap: int | None = None,
 ) -> PointResult:
     """Evaluate closed form and oracle at one (params, p) point."""
-    oracle = scan_p_range(params.gens, p, table_cap=table_cap)[p]
-    return _point(params, p, case_tag(params), oracle)
+    return _points(params, range(p, p + 1), table_cap)[0]
 
 
 def theorem_p_range(params: ShiftedGeometricFamily) -> range:
@@ -256,9 +256,7 @@ def _evaluate_tuple(
         p_values = theorem_p_range(params)
     else:
         p_values = range(int(spec.p_policy) + 1)
-    oracle = scan_p_range(params.gens, p_values[-1], table_cap=table_cap)
-    case = case_tag(params)
-    return tuple(_point(params, p, case, oracle[p]) for p in p_values)
+    return _points(params, p_values, table_cap)
 
 
 def verify_grid(
@@ -273,6 +271,8 @@ def verify_grid(
     skipped. Report ordering follows tuple enumeration order regardless of
     worker count.
     """
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, got {workers}")
     tuples = spec.tuples()
     evaluate = partial(_evaluate_tuple, spec, table_cap)
     if workers > 1 and tuples:
@@ -301,14 +301,12 @@ def discover_validity(
     """Largest p <= p_max with closed form == oracle at every p' <= p.
 
     Accepts a triple, a quad, or a pair of coprime generators; returns -1
-    when the closed form already fails at p = 0.
+    when the closed form already fails at p = 0. One oracle pass checks the
+    closed form at every p up to its first refusal.
     """
     if isinstance(params, ShiftedGeometricFamily):
         gens = params.gens
-
-        def closed(p: int) -> int:
-            return closed_value(params, "frobenius", p)
-
+        closed = partial(closed_value, params, "frobenius")
     else:
         pair = params.gens if isinstance(params, GeneratorTuple) else tuple(params)
         if len(pair) != 2:
@@ -316,17 +314,20 @@ def discover_validity(
                 f"generator-list form requires exactly 2 generators, got {len(pair)}"
             )
         gens = GeneratorTuple(pair)
+        closed = partial(g_p_two_gens, *gens.gens)
 
-        def closed(p: int) -> int:
-            return g_p_two_gens(gens.gens[0], gens.gens[1], p)
-
-    last_ok = -1
+    values = []
     for p in range(p_max + 1):
         try:
-            value = closed(p)
+            values.append(closed(p))
         except FrobkitError:
             break
-        if value != p_frobenius_scan(gens, p, table_cap=table_cap):
+        # The window for p ends at g_p + a1. Past the table cap, the oracle
+        # stops at p or disagrees with the closed value there: p decides.
+        if values[-1] + gens.a1 >= effective_table_cap(table_cap):
             break
-        last_ok = p
-    return last_ok
+    rows = scan_p_range(gens, len(values) - 1, table_cap=table_cap) if values else []
+    for p, (value, row) in enumerate(zip(values, rows)):
+        if value != require_row(row, p, table_cap)[0]:
+            return p - 1
+    return len(values) - 1

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from frobkit import cli
 from frobkit.cli import main
@@ -203,6 +207,13 @@ class TestVerify:
         assert code == 2
         assert "sample_limit" in err
 
+    def test_workers_below_one_exits_2(self, capsys):
+        for workers in ("0", "-3"):
+            code, out, err = run_cli(capsys, "verify", "--workers", workers)
+            assert code == 2
+            assert out == ""
+            assert "workers" in err
+
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -251,6 +262,15 @@ class TestTable:
         assert code == 0
         assert len(list(csv.reader(io.StringIO(out)))) == 2
 
+    def test_negative_p_max_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "table", "--a", "5", "--b", "2", "--c", "19", "--n", "3", "--p-max", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--p-max" in err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -288,3 +308,27 @@ class TestTable:
         assert code == 3
         assert out == ""
         assert "p=3" in err
+
+
+class TestEntrypoint:
+    def test_reader_closing_early_exits_141_without_traceback(self):
+        # The JSON report (about 200 kB) outgrows the pipe buffer, so the
+        # writer is still writing when the reader leaves after one line.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "frobkit.cli", "verify",
+                "--a-range", "1..3", "--b-range", "2..4", "--c-range=-20..20",
+                "--n-range", "1..2", "--format", "json",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        assert "Traceback" not in err

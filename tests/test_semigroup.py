@@ -21,6 +21,7 @@ from frobkit import (
     p_sylvester_via_apery,
     scan_p_range,
 )
+from frobkit import semigroup
 from frobkit.semigroup import TABLE_CAP_ENV, effective_table_cap
 
 from _naive import naive_counts, naive_denumerant, naive_g_p, naive_n_p
@@ -244,6 +245,37 @@ def raw_generator_lists() -> st.SearchStrategy[list[int]]:
     return st.lists(st.integers(2, 16), min_size=2, max_size=5).filter(
         lambda gs: math.gcd(*gs) == 1
     )
+
+
+class TestRedundantGenerators:
+    @given(raw_generator_lists(), st.none() | st.integers(1, 20))
+    @settings(max_examples=80, deadline=None)
+    @example([9, 3, 5, 3], None)
+    @example([16, 2, 4, 3, 8], 9)
+    def test_matches_naive_representability(self, raw, cap):
+        gens = GeneratorTuple(tuple(raw)).gens
+        with pytest.MonkeyPatch.context() as m:
+            if cap is not None:
+                m.setenv(TABLE_CAP_ENV, str(cap))
+            if cap is not None and gens[-1] + 1 > cap:
+                with pytest.raises(ResourceLimitError):
+                    GeneratorTuple(tuple(raw)).redundant_generators()
+                return
+            got = GeneratorTuple(tuple(raw)).redundant_generators()
+        others = {g: tuple(h for h in gens if h != g) for g in gens}
+        assert got == tuple(g for g in gens if naive_denumerant(g, others[g]) > 0)
+
+    def test_one_table_build(self, monkeypatch):
+        builds = []
+        real = semigroup._raw_counts
+
+        def counting(gens, bound):
+            builds.append((gens, bound))
+            return real(gens, bound)
+
+        monkeypatch.setattr(semigroup, "_raw_counts", counting)
+        assert GeneratorTuple((4, 6, 9, 10, 13)).redundant_generators() == (10, 13)
+        assert builds == [((4, 6, 9, 10, 13), 13)]
 
 
 class TestScanPRange:

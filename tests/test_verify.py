@@ -1,19 +1,30 @@
 """Sweep harness: point verification, grid reports, validity discovery."""
 
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from frobkit import (
+    FrobkitError,
+    GeneratorTuple,
     InvalidInputError,
+    ResourceLimitError,
     SweepSpec,
     discover_validity,
+    closed_value,
+    g_p_two_gens,
     make_quad,
     make_triple,
+    p_frobenius_scan,
+    scan_p_range,
     verify_grid,
     verify_point,
 )
+from frobkit import semigroup, verify
 
 
 def summary_parts_sum(summary) -> int:
@@ -102,6 +113,12 @@ class TestVerifyGrid:
         assert report.summary.out_of_range == 2  # p = 8, 9 beyond q = 7
         assert report.summary.matched == 8
         assert report.passed()
+
+    def test_workers_below_one_rejected(self):
+        spec = SweepSpec((5, 5), (2, 2), (19, 19), (3, 3))
+        for workers in (0, -1):
+            with pytest.raises(InvalidInputError, match="workers"):
+                verify_grid(spec, workers=workers)
 
     def test_min_gen_cap_skips_large_tuples(self):
         spec = SweepSpec((1, 1), (2, 2), (-3, -3), (9, 9), min_gen_cap=100)
@@ -210,3 +227,125 @@ class TestDiscoverValidity:
     def test_rejects_wrong_arity(self):
         with pytest.raises(InvalidInputError):
             discover_validity((2, 3, 5), 3)
+
+
+def reference_validity(params, p_max, table_cap):
+    """discover_validity's contract as a per-p loop with one scan per p."""
+    if isinstance(params, tuple):
+        gens = GeneratorTuple(params)
+
+        def closed(p):
+            return g_p_two_gens(*gens.gens, p)
+
+    else:
+        gens = params.gens
+
+        def closed(p):
+            return closed_value(params, "frobenius", p)
+
+    last_ok = -1
+    for p in range(p_max + 1):
+        try:
+            value = closed(p)
+        except FrobkitError:
+            break
+        if value != p_frobenius_scan(gens, p, table_cap=table_cap):
+            break
+        last_ok = p
+    return last_ok
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's value, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except FrobkitError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def validity_inputs(draw):
+    """A triple, a quad or a coprime pair; c of either sign."""
+    if draw(st.booleans()):
+        pair = draw(
+            st.tuples(st.integers(2, 20), st.integers(2, 20)).filter(
+                lambda ab: ab[0] != ab[1] and math.gcd(*ab) == 1
+            )
+        )
+        return pair
+    make = draw(st.sampled_from((make_triple, make_quad)))
+    a, b, n = draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    c = draw(st.integers(-20, 20).filter(lambda c: c != 0))
+    try:
+        return make(a, b, c, n)
+    except FrobkitError:
+        reject()  # gcd != 1 or a minimum generator below 2
+
+
+def count_table_builds(monkeypatch, fn, *args, **kwargs):
+    """fn's result and how many count tables it built."""
+    bounds = []
+    real = semigroup._raw_counts
+
+    def counting(gens, bound):
+        bounds.append(bound)
+        return real(gens, bound)
+
+    with monkeypatch.context() as m:
+        m.setattr(semigroup, "_raw_counts", counting)
+        result = fn(*args, **kwargs)
+    return result, len(bounds)
+
+
+class TestDiscoverValidityOnePass:
+    @given(
+        validity_inputs(),
+        st.integers(-2, 30),
+        st.none() | st.integers(0, 2000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_p_reference(self, params, p_max, table_cap):
+        assert outcome(
+            discover_validity, params, p_max, table_cap=table_cap
+        ) == outcome(reference_validity, params, p_max, table_cap)
+
+    def test_cap_error_names_the_first_capped_p(self, monkeypatch):
+        # g_p(2, 3) = 6p + 1; a 20-entry table holds the windows of p <= 2,
+        # so no closed value past p = 3 can change the outcome
+        calls = []
+        real = verify.g_p_two_gens
+
+        def counting(a, b, p):
+            calls.append(p)
+            return real(a, b, p)
+
+        monkeypatch.setattr(verify, "g_p_two_gens", counting)
+        with pytest.raises(ResourceLimitError, match="p=3 exceeded table cap 20"):
+            discover_validity((2, 3), 10**6, table_cap=20)
+        assert calls == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "params, p_max, last_accepted",
+        [
+            (make_triple(5, 2, 19, 3), 10, 7),  # refused past q = 7
+            (make_triple(4, 3, -1, 1), 6, 3),  # case 2, q = 3
+            (make_quad(2, 3, 37, 3), 5, 2),  # refused past b - beta = 2
+            ((2, 3), 40, 40),  # never refused
+        ],
+    )
+    def test_builds_no_more_tables_than_one_pass(
+        self, monkeypatch, params, p_max, last_accepted
+    ):
+        gens = params if isinstance(params, tuple) else params.gens
+        if last_accepted < p_max:
+            with pytest.raises(FrobkitError):
+                closed_value(params, "frobenius", last_accepted + 1)
+        _, one_pass = count_table_builds(monkeypatch, scan_p_range, gens, last_accepted)
+        got, builds = count_table_builds(monkeypatch, discover_validity, params, p_max)
+        assert got == reference_validity(params, p_max, None)
+        assert builds <= one_pass
+
+    def test_refusal_at_zero_builds_nothing(self, monkeypatch):
+        fam = make_triple(1, 3, -100, 1)  # no closed-form case applies
+        assert count_table_builds(monkeypatch, discover_validity, fam, 5) == (-1, 0)
+        assert count_table_builds(monkeypatch, discover_validity, (2, 3), -1) == (-1, 0)
