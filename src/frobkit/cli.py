@@ -237,21 +237,20 @@ def cmd_table(args) -> int:
     if args.p_max < 0:
         raise InvalidInputError(f"--p-max must be >= 0, got {args.p_max}")
     params = _make_family(args)
-    # Closed forms first; the cells they refuse share one oracle pass.
-    cells: dict[tuple[int, int], tuple[int, str] | None] = {}
+    # The cells the closed forms refuse share one oracle pass, made at the
+    # first refusal; the first refused p that the table cap stops ends it.
+    oracle = None
+    rows = []
     for p in range(args.p_max + 1):
+        row: list = [p]
         for i, quantity in enumerate(("frobenius", "sylvester")):
             try:
-                cells[p, i] = (closed_value(params, quantity, p), "closed")
+                row += [closed_value(params, quantity, p), "closed"]
             except CLOSED_ERRORS:
-                cells[p, i] = None
-    refused = [p for (p, _), cell in cells.items() if cell is None]
-    if refused:
-        oracle = scan_p_range(params.gens, max(refused))
-        for (p, i), cell in cells.items():
-            if cell is None:
-                cells[p, i] = (require_row(oracle[p], p)[i], "oracle")
-    rows = [(p, *cells[p, 0], *cells[p, 1]) for p in range(args.p_max + 1)]
+                if oracle is None:
+                    oracle = scan_p_range(params.gens, args.p_max)
+                row += [require_row(oracle[p], p)[i], "oracle"]
+        rows.append(row)
 
     header = ["p", "g", "g_method", "n", "n_method"]
     if args.format == "json":

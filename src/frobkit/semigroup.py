@@ -1,16 +1,25 @@
 """Generic numerical-semigroup engine.
 
-Formula-free machinery: denumerants by coin-counting DP, p-Apery sets, and
-two oracle routes to the p-Frobenius and p-Sylvester numbers (via the Apery
-set, and via a forward scan with a sound termination window) that read one
-count table; `tests/_naive.py` and `bench/reference.py` are the independent
-checks. All arithmetic is exact; counts can exceed 64 bits, so they are
-plain Python integers.
+Formula-free machinery with two independent oracle routes to p-Apery sets
+and the p-Frobenius and p-Sylvester numbers:
+
+- the residue-class engine (`_residue_sums`) pops sums of the generators
+  above a1 from a heap and keeps the p_max + 1 smallest of each class mod
+  a1. It gives every p-Apery set for p <= p_max in one pass, in
+  O((p_max + 1) * k * a1 * log) time whatever the size of g_p, and serves
+  `apery_set`, the `*_via_apery` functions and `scan_p_range`;
+- the coin-counting DP count table (`_raw_counts`) serves the forward scans
+  `p_frobenius_scan` and `p_sylvester_count`, the denumerants and the
+  redundancy check, and cross-checks the engine.
+
+`tests/_naive.py` and `bench/reference.py` are the external checks. All
+arithmetic is exact; counts can exceed 64 bits, so they are plain Python
+integers.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 import os
 from dataclasses import dataclass
@@ -18,7 +27,9 @@ from typing import Iterable
 
 from .errors import GcdNotOneError, InvalidInputError, ResourceLimitError
 
-#: Default cap on DP table entries; override per call or via FROBKIT_TABLE_CAP.
+#: Default table cap: the most entries of a DP count table, and the bound below
+#: which the residue-class engine keeps sums. Override per call or via
+#: FROBKIT_TABLE_CAP.
 DEFAULT_TABLE_CAP = 10**8
 TABLE_CAP_ENV = "FROBKIT_TABLE_CAP"
 
@@ -177,54 +188,60 @@ def _check_p(p: int) -> None:
         raise InvalidInputError(f"p must be >= 0, got {p}")
 
 
-def _window_table(
-    gt: GeneratorTuple, p: int, table_cap: int | None
-) -> tuple[list[int], int | None]:
-    """Grow a count table geometrically until the window for p closes in it.
+def _residue_sums(
+    gt: GeneratorTuple, p_max: int, table_cap: int | None
+) -> list[list[int]]:
+    """Per class j mod a1, its p_max + 1 smallest sums below the table cap.
 
-    Termination: d(m + a1) >= d(m) because appending one more copy of the
-    minimum generator maps representations of m injectively into those of
-    m + a1. Hence once a1 consecutive values all have d >= p + 1, every
-    larger value does too, so the last m with d(m) <= p is g_p once it lies
-    a1 below the table's end; the table then holds every p-Apery element.
-    Returns the table and g_p, or the table at the cap and None.
+    The sums are x2*g2 + ... + xk*gk over tuples of nonnegative x, counted
+    with multiplicity: d(m) counts the tuples whose sum is <= m and = m mod
+    a1, so the (p+1)-th smallest sum of class j is the order-p Apery element
+    of j. Sums pop from a heap in increasing order, and each multiset of
+    generators is reached once, by extending only with indices no smaller
+    than its last (Nijenhuis's minimal paths, Amer. Math. Monthly 86, 1979).
+    A sum whose class already holds p_max + 1 sums is not extended: adding
+    the same generators to those smaller sums gives p_max + 1 smaller sums
+    in every class it leads to. A list shorter than p_max + 1 holds every
+    sum of its class below the cap.
     """
-    a1 = gt.a1
     cap = effective_table_cap(table_cap)
-    bound = max((p + 2) * gt.gens[-1], 4 * a1)
-    while True:
-        bound = min(bound, cap - 1)
-        counts = _raw_counts(gt.gens, bound)
-        g = next((m for m in range(bound, -1, -1) if counts[m] <= p), -1)
-        if g + a1 <= bound:
-            return counts, g
-        if bound >= cap - 1:
-            return counts, None
-        bound *= 2
+    a1, rest = gt.a1, gt.gens[1:]
+    need = p_max + 1
+    found: list[list[int]] = [[] for _ in range(a1)]
+    open_classes = a1
+    heap = [(0, 0)]  # (sum, index into rest of the last generator used)
+    while heap and open_classes:
+        s, last = heapq.heappop(heap)
+        bucket = found[s % a1]
+        if len(bucket) == need:
+            continue
+        bucket.append(s)
+        open_classes -= len(bucket) == need
+        for i in range(last, len(rest)):
+            t = s + rest[i]
+            if t >= cap:
+                break
+            heapq.heappush(heap, (t, i))
+    return found
 
 
 def scan_p_range(
     gens: GeneratorTuple | Iterable[int], p_max: int, *, table_cap: int | None = None
 ) -> list[tuple[int, int] | None]:
-    """(g_p, n_p) for every 0 <= p <= p_max, read from one count table.
+    """(g_p, n_p) for every 0 <= p <= p_max, from one residue-class pass.
 
-    An entry is None where the table cap stops that p; since g_p never
-    decreases as p grows, those entries form a tail of the list.
+    g_p is the largest p-Apery element less a1, and n_p = sum / a1 -
+    (a1 - 1) / 2. An entry is None where the table cap stops that p, that
+    is where g_p + a1 >= cap; since g_p never decreases as p grows, those
+    entries form a tail of the list.
     """
     gt = as_generators(gens)
     _check_p(p_max)
-    counts = _window_table(gt, p_max, table_cap)[0]
-    last = [-1] * (p_max + 1)  # last m with d(m) = p, then with d(m) <= p
-    low = [0] * (p_max + 1)  # how many m have d(m) = p, then d(m) <= p
-    for m, cnt in enumerate(counts):
-        if cnt <= p_max:
-            last[cnt] = m
-            low[cnt] += 1
-    end = len(counts) - 1
-    return [
-        (g, n) if g + gt.a1 <= end else None
-        for g, n in zip(itertools.accumulate(last, max), itertools.accumulate(low))
-    ]
+    a1 = gt.a1
+    rows: list[tuple[int, int] | None] = [None] * (p_max + 1)
+    for p, column in enumerate(zip(*_residue_sums(gt, p_max, table_cap))):
+        rows[p] = (max(column) - a1, (sum(column) - a1 * (a1 - 1) // 2) // a1)
+    return rows
 
 
 def require_row(
@@ -240,23 +257,17 @@ def require_row(
 def apery_set(
     gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
 ) -> AperyTable:
-    """Compute the order-p Apery table from the count table its window closes in."""
+    """Compute the order-p Apery table from one residue-class pass."""
     gt = as_generators(gens)
     _check_p(p)
-    a1 = gt.a1
-    counts = _window_table(gt, p, table_cap)[0]
-    entries: list[int | None] = [None] * a1
-    found = 0
-    for m, cnt in enumerate(counts):
-        if cnt > p and entries[m % a1] is None:
-            entries[m % a1] = m
-            found += 1
-            if found == a1:
-                return AperyTable(gt, p, tuple(entries))  # type: ignore[arg-type]
-    raise ResourceLimitError(
-        f"Apery scan for p={p} exceeded table cap {effective_table_cap(table_cap)} "
-        f"({found}/{a1} residue classes filled)"
-    )
+    lists = _residue_sums(gt, p, table_cap)
+    filled = sum(len(bucket) > p for bucket in lists)
+    if filled < gt.a1:
+        raise ResourceLimitError(
+            f"Apery scan for p={p} exceeded table cap {effective_table_cap(table_cap)} "
+            f"({filled}/{gt.a1} residue classes filled)"
+        )
+    return AperyTable(gt, p, tuple(bucket[p] for bucket in lists))
 
 
 def p_frobenius_via_apery(
@@ -270,18 +281,35 @@ def p_frobenius_via_apery(
 def _scan_low_counts(
     gens: GeneratorTuple | Iterable[int], p: int, table_cap: int | None
 ) -> tuple[int, int]:
-    """Largest m with d(m) <= p, and how many such m exist."""
+    """Largest m with d(m) <= p, and how many such m exist, by forward scan.
+
+    The count table grows geometrically until the window for p closes in it.
+    Termination: d(m + a1) >= d(m) because appending one more copy of the
+    minimum generator maps representations of m injectively into those of
+    m + a1. Hence once a1 consecutive values all have d >= p + 1, every
+    larger value does too, so the last m with d(m) <= p is g_p once it lies
+    a1 below the table's end.
+    """
     gt = as_generators(gens)
     _check_p(p)
-    counts, g = _window_table(gt, p, table_cap)
-    row = None if g is None else (g, sum(cnt <= p for cnt in counts))
-    return require_row(row, p, table_cap)
+    a1 = gt.a1
+    cap = effective_table_cap(table_cap)
+    bound = max((p + 2) * gt.gens[-1], 4 * a1)
+    while True:
+        bound = min(bound, cap - 1)
+        counts = _raw_counts(gt.gens, bound)
+        g = next((m for m in range(bound, -1, -1) if counts[m] <= p), -1)
+        if g + a1 <= bound:
+            return g, sum(cnt <= p for cnt in counts)
+        if bound >= cap - 1:
+            require_row(None, p, cap)  # raises: the cap stops p
+        bound *= 2
 
 
 def p_frobenius_scan(
     gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
 ) -> int:
-    """p-Frobenius number by forward scan of the Apery route's count table."""
+    """p-Frobenius number by forward scan of a count table."""
     return _scan_low_counts(gens, p, table_cap)[0]
 
 

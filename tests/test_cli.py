@@ -309,6 +309,27 @@ class TestTable:
         assert out == ""
         assert "p=3" in err
 
+    def test_huge_p_max_stops_at_the_first_capped_oracle_row(self, capsys, monkeypatch):
+        # gens (21, 61, 141): the closed forms hold for p <= q = 7, and a
+        # 20-entry cap stops every oracle row, so p = 8 ends the table
+        calls = []
+        real = cli.closed_value
+
+        def counting(params, quantity, p):
+            calls.append(p)
+            return real(params, quantity, p)
+
+        monkeypatch.setattr(cli, "closed_value", counting)
+        monkeypatch.setenv(TABLE_CAP_ENV, "20")
+        code, out, err = run_cli(
+            capsys,
+            "table", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
+            "--p-max", "2000000",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: forward scan for p=8 exceeded table cap 20\n"
+        assert max(calls) == 8
+
 
 class TestEntrypoint:
     def test_reader_closing_early_exits_141_without_traceback(self):

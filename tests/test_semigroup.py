@@ -7,21 +7,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobkit import (
+    AperyTable,
+    FrobkitError,
     GcdNotOneError,
     GeneratorTuple,
     InvalidInputError,
     ResourceLimitError,
+    SweepSpec,
     apery_set,
     denumerant,
     denumerant_table,
+    discover_validity,
     gcd_of,
+    make_triple,
     p_frobenius_scan,
     p_frobenius_via_apery,
     p_sylvester_count,
     p_sylvester_via_apery,
     scan_p_range,
+    verify_grid,
 )
-from frobkit import semigroup
+from frobkit import cli, semigroup
 from frobkit.semigroup import TABLE_CAP_ENV, effective_table_cap
 
 from _naive import naive_counts, naive_denumerant, naive_g_p, naive_n_p
@@ -312,3 +318,77 @@ class TestScanPRange:
     def test_negative_p_max_rejected(self):
         with pytest.raises(InvalidInputError):
             scan_p_range((2, 3), -1)
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's value, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except FrobkitError as exc:
+        return type(exc), str(exc)
+
+
+def dp_apery_reference(gens, p, table_cap):
+    """apery_set's entries, or its cap error, read from a denumerant table."""
+    cap = effective_table_cap(table_cap)
+    a1 = gens[0]
+    bound = min(cap - 1, p_frobenius_scan(gens, p) + a1)  # the largest entry
+    entries: dict[int, int] = {}
+    for m, cnt in enumerate(denumerant_table(gens, bound, table_cap=table_cap).counts):
+        if cnt > p:
+            entries.setdefault(m % a1, m)
+    if len(entries) < a1:
+        return ResourceLimitError, (
+            f"Apery scan for p={p} exceeded table cap {cap} "
+            f"({len(entries)}/{a1} residue classes filled)"
+        )
+    return tuple(entries[j] for j in range(a1))
+
+
+class TestResidueEngineCrossRoute:
+    @given(raw_generator_lists(), st.integers(0, 4), st.none() | st.integers(1, 400))
+    @settings(max_examples=60, deadline=None)
+    @example([9, 3, 5, 3], 4, 40)
+    @example([16, 2, 4, 3, 8], 4, 1)
+    @example([7, 5, 13], 3, 60)
+    def test_engine_equals_dp_and_naive(self, raw, p_max, table_cap):
+        gens = GeneratorTuple(tuple(raw)).gens
+        cap = effective_table_cap(table_cap)
+        rows = scan_p_range(raw, p_max, table_cap=table_cap)
+        assert len(rows) == p_max + 1
+        for p, row in enumerate(rows):
+            g, n = naive_g_p(gens, p), naive_n_p(gens, p)
+            # The row needs every p-Apery element, the largest being g_p + a1.
+            assert row == (None if g + gens[0] >= cap else (g, n))
+            for i, scan in enumerate((p_frobenius_scan, p_sylvester_count)):
+                want = (
+                    (ResourceLimitError, f"forward scan for p={p} exceeded table cap {cap}")
+                    if row is None
+                    else row[i]
+                )
+                assert outcome(scan, raw, p, table_cap=table_cap) == want
+            got = outcome(apery_set, raw, p, table_cap=table_cap)
+            got = got.entries if isinstance(got, AperyTable) else got
+            assert got == dp_apery_reference(gens, p, table_cap)
+
+
+class TestEngineIsTheSweepRoute:
+    def test_sweep_paths_build_no_count_table(self, monkeypatch, capsys):
+        builds = []
+        real = semigroup._raw_counts
+
+        def counting(gens, bound):
+            builds.append((gens, bound))
+            return real(gens, bound)
+
+        monkeypatch.setattr(semigroup, "_raw_counts", counting)
+        argv = ["table", "--a", "2", "--b", "3", "--c=-5", "--n", "2", "--vars", "4",
+                "--p-max", "4", "--format", "json"]
+        assert cli.main(argv) == 0
+        assert '"oracle"' in capsys.readouterr().out  # c < 0 quads have no closed form
+        assert verify_grid(SweepSpec((1, 3), (2, 4), (-10, 10), (1, 2))).passed()
+        assert discover_validity(make_triple(40, 3, -7, 2), 40) == 40
+        assert builds == []
+        # The forward scan stays the independent second route.
+        assert p_frobenius_scan((2, 3), 1) == 7
+        assert builds
