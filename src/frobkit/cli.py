@@ -20,13 +20,12 @@ from .families import (
     CLOSED_ERROR_TAGS,
     CLOSED_ERRORS,
     ShiftedGeometricFamily,
-    abg_decompose,
     apery_grid_triple,
     case_tag,
     closed_value,
+    digit_decompose,
     make_quad,
     make_triple,
-    qr_decompose,
 )
 from .semigroup import (
     GeneratorTuple,
@@ -68,11 +67,8 @@ def _make_family(args) -> ShiftedGeometricFamily:
 
 
 def _decomposition_fields(params: ShiftedGeometricFamily) -> dict[str, str]:
-    if params.k == 3:
-        qr = qr_decompose(params)
-        return {"q": str(qr.q), "r": str(qr.r)}
-    d = abg_decompose(params)
-    return {"alpha": str(d.alpha), "beta": str(d.beta), "gamma": str(d.gamma)}
+    names = ("q", "r") if params.k == 3 else ("alpha", "beta", "gamma")
+    return dict(zip(names, map(str, digit_decompose(params))))
 
 
 def cmd_compute(args) -> int:

@@ -1,21 +1,24 @@
 """Shifted geometric generator families and their closed-form fast paths.
 
 The three-term family is (a*b^n - c, a*b^(n+1) - c, a*b^(n+2) - c) and the
-four-term family appends a*b^(n+3) - c. Closed forms for the p-Frobenius
-number (and, for positive c, the p-Sylvester number) are driven by two small
-decompositions of the minimum generator:
+four-term family appends a*b^(n+3) - c. Every closed form comes from one
+picture. `digit_decompose` splits the minimum generator a1 in the mixed
+radix with weights w_j = (b^j - 1)/(b - 1):
 
-  * triples: a*b^n - c = (b+1)*q + r with 0 <= r <= b
-  * quads:   a*b^n - c = alpha*(b^2+b+1) + beta*(b+1) + gamma, 0 <= gamma <= b
+  * triples: a1 = q*(b+1) + r, digits (q, r), 0 <= r <= b
+  * quads:   a1 = alpha*(b^2+b+1) + beta*(b+1) + gamma, digits (alpha, beta, gamma)
 
-For negative c the largest Apery element can sit at one of four positions;
-`closed_form_case` evaluates the selecting inequalities verbatim and reports
-which branch (if any) applies.
+The largest element of the p-Apery set sits at an exponent vector
+(x2, ..., xk) read from those digits, so g_p = x2*a2 + ... + xk*ak - a1;
+`_max_position` holds one row per case. For negative c a triple's position
+depends on which of four inequality systems holds; `closed_form_case`
+evaluates them verbatim and reports the case, if any.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -40,47 +43,12 @@ class ShiftedGeometricFamily:
 
     @property
     def k(self) -> int:
-        return len(self.gens)
+        return len(self.gens.gens)
 
     @property
     def c0(self) -> int | None:
         """Magnitude of a negative shift; None when c > 0."""
         return -self.c if self.c < 0 else None
-
-
-@dataclass(frozen=True)
-class QRDecomposition:
-    """a*b^n - c = (b+1)*q + r with 0 <= r <= b."""
-
-    q: int
-    r: int
-
-
-@dataclass(frozen=True)
-class ABGDecomposition:
-    """a*b^n - c = alpha*(b^2+b+1) + beta*(b+1) + gamma, digits in range."""
-
-    alpha: int
-    beta: int
-    gamma: int
-
-
-@dataclass(frozen=True)
-class CaseConditions:
-    """The four products compared by the negative-shift case selector."""
-
-    r_excess_growth: int  # (r - 1) * a * b^(n+1)
-    b_gap_growth: int  # (b - r) * a * b^(n+1)
-    b_gap_shift: int  # (b - r) * c0
-    r_excess_shift: int  # (r - 1) * c0
-
-
-@dataclass(frozen=True)
-class ClosedFormCase:
-    """Which closed-form branch applies for c < 0; case_id None means none."""
-
-    case_id: int | None
-    conditions: CaseConditions
 
 
 def _family_gens(a: int, b: int, c: int, n: int, k: int) -> GeneratorTuple:
@@ -114,29 +82,61 @@ def make_quad(a: int, b: int, c: int, n: int) -> ShiftedGeometricFamily:
     return ShiftedGeometricFamily(a, b, c, n, _family_gens(a, b, c, n, 4))
 
 
-def _require_k(fam: ShiftedGeometricFamily, k: int) -> None:
+def digit_decompose(fam: ShiftedGeometricFamily) -> tuple[int, ...]:
+    """Digits of a1 in the mixed radix w_j = (b^j - 1)/(b - 1), top digit first.
+
+    a1 = d_{k-1}*w_{k-1} + ... + d_1*w_1, each digit but the top one below
+    w_{j+1}/w_j: (q, r) for triples and (alpha, beta, gamma) for quads.
+    """
+    b, rest, digits = fam.b, fam.gens.a1, []
+    weight = (b ** (fam.k - 1) - 1) // (b - 1)
+    while weight:  # w_j = b * w_(j-1) + 1, so w_j // b = w_(j-1), and 1 // b = 0
+        digit, rest = divmod(rest, weight)
+        digits.append(digit)
+        weight //= b
+    return tuple(digits)
+
+
+def stated_p_max(fam: ShiftedGeometricFamily, digits: tuple[int, ...]) -> int:
+    """Top of the p range the paper states, from digits = digit_decompose(fam).
+
+    It is q for triples and b - beta for quads.
+    """
+    return digits[0] if fam.k == 3 else fam.b - digits[1]
+
+
+def _stated_digits(fam: ShiftedGeometricFamily, k: int, p: int) -> tuple[int, ...]:
+    """digit_decompose(fam), once fam has k terms and p lies in its stated range."""
     if fam.k != k:
         raise InvalidInputError(f"expected a {k}-term family, got {fam.k} terms")
+    digits = digit_decompose(fam)
+    top = stated_p_max(fam, digits)
+    if p > top:
+        name = "q" if k == 3 else "b-beta"
+        raise OutOfValidityRangeError(f"p={p} exceeds validity bound {name}={top}")
+    return digits
 
 
-def qr_decompose(t: ShiftedGeometricFamily) -> QRDecomposition:
-    """Quotient and remainder of the minimum generator by b + 1 (k = 3)."""
-    _require_k(t, 3)
-    q, r = divmod(t.gens.gens[0], t.b + 1)
-    return QRDecomposition(q, r)
+def _case(t: ShiftedGeometricFamily, r: int) -> int | None:
+    # c0 > 0 and growth > 0, so multiplying max{b-r, r-1} through is exact.
+    growth, c0 = t.a * t.b ** (t.n + 1), -t.c
+    r_excess_growth, b_gap_growth = (r - 1) * growth, (t.b - r) * growth
+    r_excess_shift, b_gap_shift = (r - 1) * c0, (t.b - r) * c0
+    hits = [
+        r_excess_growth >= max(b_gap_shift, r_excess_shift),
+        b_gap_growth >= b_gap_shift > r_excess_growth,
+        r_excess_growth >= b_gap_shift > b_gap_growth,
+        b_gap_shift > max(b_gap_growth, r_excess_growth),
+    ]
+    if sum(hits) > 1:
+        raise AssertionError(
+            f"case conditions are not mutually exclusive for {t}: {hits}"
+        )
+    return hits.index(True) + 1 if any(hits) else None
 
 
-def abg_decompose(qd: ShiftedGeometricFamily) -> ABGDecomposition:
-    """Mixed-radix digits of the minimum generator in base (b^2+b+1, b+1, 1) (k = 4)."""
-    _require_k(qd, 4)
-    b = qd.b
-    alpha, rem = divmod(qd.gens.gens[0], b * b + b + 1)
-    beta, gamma = divmod(rem, b + 1)
-    return ABGDecomposition(alpha, beta, gamma)
-
-
-def closed_form_case(t: ShiftedGeometricFamily) -> ClosedFormCase:
-    """Select the closed-form branch for a negative shift (c < 0).
+def closed_form_case(t: ShiftedGeometricFamily) -> int | None:
+    """The closed-form case (1 to 4) of a triple with c < 0; None if none applies.
 
     Exactly one of four inequality systems can hold (>= on the growth side,
     strict > on the shift side, as required for correctness at ties); at the
@@ -145,63 +145,69 @@ def closed_form_case(t: ShiftedGeometricFamily) -> ClosedFormCase:
     """
     if t.c > 0:
         raise InvalidInputError("case selection is defined only for c < 0")
-    c0 = -t.c
-    r = qr_decompose(t).r
-    growth = t.a * t.b ** (t.n + 1)
-    cond = CaseConditions(
-        r_excess_growth=(r - 1) * growth,
-        b_gap_growth=(t.b - r) * growth,
-        b_gap_shift=(t.b - r) * c0,
-        r_excess_shift=(r - 1) * c0,
-    )
-    # c0 > 0 and growth > 0, so multiplying max{b-r, r-1} through is exact.
-    hits = [
-        cond.r_excess_growth >= max(cond.b_gap_shift, cond.r_excess_shift),
-        cond.b_gap_growth >= cond.b_gap_shift > cond.r_excess_growth,
-        cond.r_excess_growth >= cond.b_gap_shift > cond.b_gap_growth,
-        cond.b_gap_shift > max(cond.b_gap_growth, cond.r_excess_growth),
-    ]
-    if sum(hits) > 1:
-        raise AssertionError(f"case conditions are not mutually exclusive: {cond}")
-    case_id = hits.index(True) + 1 if any(hits) else None
-    return ClosedFormCase(case_id, cond)
+    if t.k != 3:
+        raise InvalidInputError(f"expected a 3-term family, got {t.k} terms")
+    return _case(t, digit_decompose(t)[1])
+
+
+#: The largest p at which triple cases 3 and 4 have been checked against the
+#: oracle. Past it they are wrong for some tuples although the paper states
+#: them up to q (README, "Notes on validity ranges").
+_CHECKED_P_MAX = {3: 3, 4: 2}
+
+
+def _max_position(
+    fam: ShiftedGeometricFamily, p: int, digits: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Exponents (x2, ..., xk) of the largest p-Apery element, one row per case.
+
+    d1, d2, ... are the digits of a1 from the unit digit up. For c > 0 the
+    case is 1 when d1 >= 1 and 2 when d1 = 0; for c < 0 (triples only) it
+    is closed_form_case's. p must lie in the stated range already.
+    """
+    d = digits[::-1]
+    b = fam.b
+    case = _case(fam, d[0]) if fam.c < 0 else (1 if d[0] else 2)
+    if case == 1:
+        return (d[0] - 1, d[1] + p, *d[2:])
+    if fam.k == 4:  # gamma = 0
+        return (0, b + d[1] + p, d[2] - 1)
+    r, q = d
+    if case == 2:
+        return (b, q + p - 1)
+    if case is None:
+        raise NoClosedFormCaseError(
+            f"no closed-form case applies to (a,b,c,n)=({fam.a},{fam.b},{fam.c},{fam.n})"
+        )
+    # The case-4 maximal position has x3 = q - p - 1, which must exist.
+    if case == 4 and p > q - 1:
+        raise OutOfValidityRangeError(
+            f"p={p} exceeds the case-4 validity bound q-1={q - 1}"
+        )
+    if p > _CHECKED_P_MAX[case]:
+        raise OutOfValidityRangeError(
+            f"p={p} exceeds the checked case-{case} range p <= {_CHECKED_P_MAX[case]}"
+        )
+    if case == 3:
+        return (p * b + r + p - 1, q - p)
+    return ((p + 1) * b + p, q - p - 1)
+
+
+def _frobenius(fam: ShiftedGeometricFamily, k: int, p: int) -> int:
+    """g_p of a k-term family from its maximal position, for 0 <= p."""
+    position = _max_position(fam, p, _stated_digits(fam, k, p))
+    a1, *rest = fam.gens.gens
+    return sum(map(operator.mul, position, rest)) - a1
 
 
 def g_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
     """Closed-form p-Frobenius number of a three-term family, 0 <= p <= q.
 
-    For c > 0 the largest Apery element sits at (r-1, q+p) when r >= 1 and
-    at (b, q+p-1) when r = 0: the positions of cases 1 and 2 below. For
-    c < 0 the case selector picks one of four positions; r = 0 inputs reduce
-    to cases 2/4 and are oracle-gated by the verification sweeps rather than
-    trusted blindly.
+    Cases 3 and 4 (c < 0) refuse past p = 3 and p = 2; case 4 also at p = q.
     """
     if p < 0:
         raise InvalidInputError(f"p must be >= 0, got {p}")
-    qr = qr_decompose(t)
-    q, r = qr.q, qr.r
-    if p > q:
-        raise OutOfValidityRangeError(f"p={p} exceeds validity bound q={q}")
-    g1, g2, g3 = t.gens.gens
-    b = t.b
-    case_id = closed_form_case(t).case_id if t.c < 0 else (1 if r >= 1 else 2)
-    if case_id == 1:
-        return (r - 1) * g2 + (q + p) * g3 - g1
-    if case_id == 2:
-        return b * g2 + (q + p - 1) * g3 - g1
-    if case_id == 3:
-        return (p * b + r + p - 1) * g2 + (q - p) * g3 - g1
-    if case_id == 4:
-        # The case-4 maximal position has x3 = q - p - 1, which must exist;
-        # at p = q the pattern provably breaks (oracle disagrees).
-        if p > q - 1:
-            raise OutOfValidityRangeError(
-                f"p={p} exceeds the case-4 validity bound q-1={q - 1}"
-            )
-        return ((p + 1) * b + p) * g2 + (q - p - 1) * g3 - g1
-    raise NoClosedFormCaseError(
-        f"no closed-form case applies to (a,b,c,n)=({t.a},{t.b},{t.c},{t.n})"
-    )
+    return _frobenius(t, 3, p)
 
 
 def n_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
@@ -212,9 +218,7 @@ def n_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
         raise UnsupportedCaseError(
             "no closed p-Sylvester form for c < 0; use p_sylvester_count"
         )
-    q = qr_decompose(t).q
-    if p > q:
-        raise OutOfValidityRangeError(f"p={p} exceeds validity bound q={q}")
+    q = _stated_digits(t, 3, p)[0]
     g1, g2, _ = t.gens.gens
     b = t.b
     bracket = (
@@ -273,10 +277,7 @@ def apery_grid_triple(t: ShiftedGeometricFamily, p: int) -> AperyGridTriple:
         raise InvalidInputError(f"p must be >= 0, got {p}")
     if t.c < 0:
         raise InvalidInputError("the position grid is constructed only for c > 0")
-    qr = qr_decompose(t)
-    q, r = qr.q, qr.r
-    if p > q:
-        raise OutOfValidityRangeError(f"p={p} exceeds validity bound q={q}")
+    q, r = _stated_digits(t, 3, p)
     b = t.b
     w = b + 1
     positions: set[tuple[int, int]] = set()
@@ -316,15 +317,7 @@ def g_p_closed_quad(qd: ShiftedGeometricFamily, p: int) -> int:
         raise UnsupportedCaseError(
             "no closed four-term form for c < 0; use p_frobenius_scan"
         )
-    d = abg_decompose(qd)
-    if p > qd.b - d.beta:
-        raise OutOfValidityRangeError(
-            f"p={p} exceeds validity bound b-beta={qd.b - d.beta}"
-        )
-    g1, g2, g3, g4 = qd.gens.gens
-    if d.gamma >= 1:
-        return (d.gamma - 1) * g2 + (d.beta + p) * g3 + d.alpha * g4 - g1
-    return (qd.b + d.beta + p) * g3 + (d.alpha - 1) * g4 - g1
+    return _frobenius(qd, 4, p)
 
 
 #: The closed forms' typed refusals, and the tag reports give each.
@@ -351,7 +344,7 @@ def closed_value(fam: ShiftedGeometricFamily, quantity: str, p: int) -> int:
 def case_tag(fam: ShiftedGeometricFamily) -> str | None:
     """The negative-shift branch of a triple as reports print it; else None."""
     if fam.k == 3 and fam.c < 0:
-        cid = closed_form_case(fam).case_id
+        cid = closed_form_case(fam)
         return "NoCaseApplies" if cid is None else str(cid)
     return None
 

@@ -203,8 +203,14 @@ def _residue_sums(
     the same generators to those smaller sums gives p_max + 1 smaller sums
     in every class it leads to. A list shorter than p_max + 1 holds every
     sum of its class below the cap.
+
+    When a1 >= cap, every sum but 0 is at least a2 > a1 >= cap, so class 0
+    holds [0] and the others nothing; the result then stops after class 1,
+    which stands for all of them, so that no a1-sized list is built.
     """
     cap = effective_table_cap(table_cap)
+    if gt.a1 >= cap:
+        return [[0], []]
     a1, rest = gt.a1, gt.gens[1:]
     need = p_max + 1
     found: list[list[int]] = [[] for _ in range(a1)]

@@ -20,13 +20,13 @@ from .families import (
     CLOSED_ERROR_TAGS,
     CLOSED_ERRORS,
     ShiftedGeometricFamily,
-    abg_decompose,
     case_tag,
     closed_value,
+    digit_decompose,
     g_p_two_gens,
     make_quad,
     make_triple,
-    qr_decompose,
+    stated_p_max,
 )
 from .semigroup import GeneratorTuple, effective_table_cap, require_row, scan_p_range
 
@@ -236,9 +236,7 @@ def verify_point(
 
 def theorem_p_range(params: ShiftedGeometricFamily) -> range:
     """The p values the closed form is stated for: 0..q or 0..b-beta."""
-    if params.k == 3:
-        return range(qr_decompose(params).q + 1)
-    return range(params.b - abg_decompose(params).beta + 1)
+    return range(stated_p_max(params, digit_decompose(params)) + 1)
 
 
 def _evaluate_tuple(

@@ -136,6 +136,15 @@ class TestApery:
         assert code == 3
         assert "cap" in err
 
+    def test_min_generator_at_cap_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv(TABLE_CAP_ENV, "1000")
+        code, out, err = run_cli(capsys, "apery", "--gens", "2000003,2000004", "--p", "0")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: Apery scan for p=0 exceeded table cap 1000 "
+            "(1/2000003 residue classes filled)\n"
+        )
+
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "apery", "--p", "1")
         assert code == 2

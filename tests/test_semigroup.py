@@ -1,6 +1,7 @@
 """Core engine tests: denumerants, Apery sets, and the two oracle routes."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -318,6 +319,24 @@ class TestScanPRange:
     def test_negative_p_max_rejected(self):
         with pytest.raises(InvalidInputError):
             scan_p_range((2, 3), -1)
+
+    def test_min_generator_at_cap_allocates_no_class_lists(self):
+        # Every sum but 0 is at least a2 > a1 >= cap, so no p is in reach.
+        gens = (2000003, 2000004)
+        tracemalloc.start()
+        try:
+            rows = scan_p_range(gens, 0, table_cap=1000)
+            with pytest.raises(ResourceLimitError) as info:
+                apery_set(gens, 0, table_cap=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == [None]
+        assert str(info.value) == (
+            "Apery scan for p=0 exceeded table cap 1000 "
+            "(1/2000003 residue classes filled)"
+        )
+        assert peak < 1_000_000
 
 
 def outcome(fn, *args, **kwargs):
