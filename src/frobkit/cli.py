@@ -1,5 +1,8 @@
 """Command-line surface: compute, apery, verify, and table subcommands.
 
+Every g_p and n_p printed is a closed form (`closed_or_refusal`) or, where
+that refuses, read from the residue-class engine (`scan_p_range`).
+
 Exit codes are a stable contract: 0 success/agreement, 1 verification or
 method mismatch, 2 invalid input, 3 resource limit, and 141 when the reader
 of stdout closes it early (as SIGPIPE would). JSON output renders all
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -17,12 +21,10 @@ import sys
 
 from .errors import FrobkitError, InvalidInputError, ResourceLimitError
 from .families import (
-    CLOSED_ERROR_TAGS,
-    CLOSED_ERRORS,
     ShiftedGeometricFamily,
     apery_grid_triple,
     case_tag,
-    closed_value,
+    closed_or_refusal,
     digit_decompose,
     make_quad,
     make_triple,
@@ -30,8 +32,6 @@ from .families import (
 from .semigroup import (
     GeneratorTuple,
     apery_set,
-    p_frobenius_scan,
-    p_sylvester_count,
     require_row,
     scan_p_range,
 )
@@ -75,22 +75,16 @@ def cmd_compute(args) -> int:
     params = _make_family(args)
     decomp = _decomposition_fields(params)
     case = case_tag(params)
-    closed = oracle = None
-    closed_error = None
+    closed = oracle = closed_error = agreement = None
     method_used = args.method
     if args.method in ("closed", "both"):
-        try:
-            closed = closed_value(params, args.quantity, args.p)
-        except CLOSED_ERRORS as exc:
-            closed_error = CLOSED_ERROR_TAGS[type(exc)]
+        closed, closed_error = closed_or_refusal(params, args.quantity, args.p)
     if args.method != "closed" or closed is None:
-        scan = p_frobenius_scan if args.quantity == "frobenius" else p_sylvester_count
-        oracle = scan(params.gens, args.p)
-    if args.method == "closed" and closed is None:
+        i = 0 if args.quantity == "frobenius" else 1
+        oracle = require_row(scan_p_range(params.gens, args.p)[args.p], args.p)[i]
+    if closed is None and args.method == "closed":
         method_used = "oracle-fallback"
-
-    agreement = None
-    if args.method == "both" and closed is not None:
+    elif closed is not None and args.method == "both":
         agreement = closed == oracle
 
     obj = {
@@ -240,12 +234,13 @@ def cmd_table(args) -> int:
     for p in range(args.p_max + 1):
         row: list = [p]
         for i, quantity in enumerate(("frobenius", "sylvester")):
-            try:
-                row += [closed_value(params, quantity, p), "closed"]
-            except CLOSED_ERRORS:
+            closed, _ = closed_or_refusal(params, quantity, p)
+            if closed is None:
                 if oracle is None:
                     oracle = scan_p_range(params.gens, args.p_max)
                 row += [require_row(oracle[p], p)[i], "oracle"]
+            else:
+                row += [closed, "closed"]
         rows.append(row)
 
     header = ["p", "g", "g_method", "n", "n_method"]
@@ -274,7 +269,9 @@ def _add_family_flags(sub, required: bool = True) -> None:
     sub.add_argument("--vars", type=int, choices=(3, 4), default=3)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The frobkit parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="frobkit",
         description=(
@@ -349,10 +346,8 @@ def _merge_range_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_merge_range_flags(list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_merge_range_flags(argv))
     try:
         return args.func(args)
     except ResourceLimitError as exc:

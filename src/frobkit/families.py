@@ -326,19 +326,28 @@ CLOSED_ERROR_TAGS = {
     OutOfValidityRangeError: "OutOfValidityRange",
     UnsupportedCaseError: "Unsupported",
 }
-CLOSED_ERRORS = tuple(CLOSED_ERROR_TAGS)
 
 
 def closed_value(fam: ShiftedGeometricFamily, quantity: str, p: int) -> int:
     """Closed-form g_p (quantity "frobenius") or n_p ("sylvester") of a family.
 
-    Raises one of CLOSED_ERRORS where no closed form applies.
+    Raises one of the CLOSED_ERROR_TAGS types where no closed form applies.
     """
     if quantity == "frobenius":
         return g_p_closed_triple(fam, p) if fam.k == 3 else g_p_closed_quad(fam, p)
     if fam.k == 3:
         return n_p_closed_triple(fam, p)
     raise UnsupportedCaseError("no closed p-Sylvester form for four generators")
+
+
+def closed_or_refusal(
+    fam: ShiftedGeometricFamily, quantity: str, p: int
+) -> tuple[int | None, str | None]:
+    """(closed_value, None), or (None, its refusal's tag); other errors propagate."""
+    try:
+        return closed_value(fam, quantity, p), None
+    except tuple(CLOSED_ERROR_TAGS) as exc:
+        return None, CLOSED_ERROR_TAGS[type(exc)]
 
 
 def case_tag(fam: ShiftedGeometricFamily) -> str | None:

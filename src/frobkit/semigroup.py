@@ -231,22 +231,32 @@ def _residue_sums(
     return found
 
 
+def _read_apery(table: AperyTable) -> tuple[int, int]:
+    """(g_p, n_p) from the p-Apery set: max - a1 and sum/a1 - (a1-1)/2, exactly."""
+    a1 = table.gens.a1
+    n_p, rest = divmod(2 * sum(table.entries) - a1 * (a1 - 1), 2 * a1)
+    if rest:
+        raise AssertionError(
+            f"Apery-route p-Sylvester value is non-integral for {table.gens.gens}, "
+            f"p={table.p}; the Apery table is corrupt"
+        )
+    return table.max_entry() - a1, n_p
+
+
 def scan_p_range(
     gens: GeneratorTuple | Iterable[int], p_max: int, *, table_cap: int | None = None
 ) -> list[tuple[int, int] | None]:
     """(g_p, n_p) for every 0 <= p <= p_max, from one residue-class pass.
 
-    g_p is the largest p-Apery element less a1, and n_p = sum / a1 -
-    (a1 - 1) / 2. An entry is None where the table cap stops that p, that
-    is where g_p + a1 >= cap; since g_p never decreases as p grows, those
-    entries form a tail of the list.
+    Each row is `_read_apery` of that p's Apery set. An entry is None
+    where the table cap stops that p, that is where g_p + a1 >= cap; since
+    g_p never decreases as p grows, those entries form a tail of the list.
     """
     gt = as_generators(gens)
     _check_p(p_max)
-    a1 = gt.a1
     rows: list[tuple[int, int] | None] = [None] * (p_max + 1)
     for p, column in enumerate(zip(*_residue_sums(gt, p_max, table_cap))):
-        rows[p] = (max(column) - a1, (sum(column) - a1 * (a1 - 1) // 2) // a1)
+        rows[p] = _read_apery(AperyTable(gt, p, column))
     return rows
 
 
@@ -280,8 +290,7 @@ def p_frobenius_via_apery(
     gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
 ) -> int:
     """p-Frobenius number as (max Apery element) - a1."""
-    table = apery_set(gens, p, table_cap=table_cap)
-    return table.max_entry() - table.gens.a1
+    return _read_apery(apery_set(gens, p, table_cap=table_cap))[0]
 
 
 def _scan_low_counts(
@@ -323,15 +332,7 @@ def p_sylvester_via_apery(
     gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
 ) -> int:
     """p-Sylvester number from the Apery table: sum/a1 - (a1-1)/2, exactly."""
-    table = apery_set(gens, p, table_cap=table_cap)
-    a1 = table.gens.a1
-    numerator = 2 * sum(table.entries) - a1 * (a1 - 1)
-    if numerator % (2 * a1) != 0:
-        raise AssertionError(
-            f"Apery-route p-Sylvester value is non-integral for {table.gens.gens}, "
-            f"p={p}; the Apery table is corrupt"
-        )
-    return numerator // (2 * a1)
+    return _read_apery(apery_set(gens, p, table_cap=table_cap))[1]
 
 
 def p_sylvester_count(

@@ -17,10 +17,9 @@ from functools import partial
 
 from .errors import FrobkitError, InvalidInputError
 from .families import (
-    CLOSED_ERROR_TAGS,
-    CLOSED_ERRORS,
     ShiftedGeometricFamily,
     case_tag,
+    closed_or_refusal,
     closed_value,
     digit_decompose,
     g_p_two_gens,
@@ -198,12 +197,7 @@ def _points(
     case = case_tag(params)
     points = []
     for p in p_values:
-        closed: int | None = None
-        closed_error: str | None = None
-        try:
-            closed = closed_value(params, "frobenius", p)
-        except CLOSED_ERRORS as exc:
-            closed_error = CLOSED_ERROR_TAGS[type(exc)]
+        closed, closed_error = closed_or_refusal(params, "frobenius", p)
         g = None if oracle[p] is None else oracle[p][0]
         points.append(
             PointResult(

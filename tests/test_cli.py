@@ -1,5 +1,6 @@
 """CLI contract: flags, output formats, and the exit-code guarantees."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,7 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from frobkit import cli
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from frobkit import FrobkitError, ResourceLimitError, cli, families
 from frobkit.cli import main
 from frobkit.semigroup import TABLE_CAP_ENV, p_frobenius_scan, p_sylvester_count
 
@@ -17,6 +22,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(argv):
+    """main(argv)'s exit code, stdout and stderr, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestCompute:
@@ -102,7 +118,7 @@ class TestCompute:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "p_frobenius_scan", exhausted)
+        monkeypatch.setattr(cli, "scan_p_range", exhausted)
         code, _, err = run_cli(
             capsys,
             "compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
@@ -110,6 +126,66 @@ class TestCompute:
         )
         assert code == 3
         assert "memory" in err
+
+
+class TestComputeReadsTheEngine:
+    @given(
+        st.integers(1, 5),
+        st.integers(2, 4),
+        st.integers(-40, 40).filter(bool),
+        st.integers(1, 2),
+        st.sampled_from((3, 4)),
+        st.sampled_from(("frobenius", "sylvester")),
+        st.integers(0, 8),
+        st.none() | st.integers(20, 3000),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(5, 2, 19, 3, 3, "frobenius", 8, 20)
+    @example(2, 3, -5, 2, 4, "sylvester", 3, None)
+    @example(4, 3, -1, 1, 3, "sylvester", 6, 600)
+    def test_oracle_equals_the_forward_scan(self, a, b, c, n, k, quantity, p, cap):
+        make = families.make_triple if k == 3 else families.make_quad
+        try:
+            gens = make(a, b, c, n).gens
+        except FrobkitError:
+            assume(False)
+        scan = p_frobenius_scan if quantity == "frobenius" else p_sylvester_count
+        argv = ["compute", "--a", str(a), "--b", str(b), f"--c={c}", "--n", str(n),
+                "--vars", str(k), "--p", str(p), "--quantity", quantity,
+                "--method", "oracle", "--format", "json"]
+        with pytest.MonkeyPatch.context() as m:
+            if cap is None:
+                m.delenv(TABLE_CAP_ENV, raising=False)
+            else:
+                m.setenv(TABLE_CAP_ENV, str(cap))
+            try:
+                want = scan(gens, p)
+            except ResourceLimitError as exc:
+                assert run_captured(argv) == (3, "", f"error: {exc}\n")
+                return
+            code, out, err = run_captured(argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["oracle"] == str(want)
+
+
+class TestParserCache:
+    def test_one_parser_prints_what_fresh_parsers_print(self):
+        calls = [
+            ["compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3", "--p", "0"],
+            ["table", "--a", "5", "--b", "2", "--c", "19", "--n", "3", "--p-max", "2",
+             "--format", "json"],
+            ["compute", "--a", "5"],  # argparse rejects it
+            ["verify", "--c-range", "-3..3", "--format", "csv"],
+            ["apery", "--gens", "2,3", "--p", "1"],
+        ]
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run_captured(argv))
+        cli.build_parser.cache_clear()
+        assert [run_captured(argv) for argv in calls] == fresh
+        assert cli.build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
 
 
 class TestApery:
@@ -322,13 +398,13 @@ class TestTable:
         # gens (21, 61, 141): the closed forms hold for p <= q = 7, and a
         # 20-entry cap stops every oracle row, so p = 8 ends the table
         calls = []
-        real = cli.closed_value
+        real = families.closed_value
 
         def counting(params, quantity, p):
             calls.append(p)
             return real(params, quantity, p)
 
-        monkeypatch.setattr(cli, "closed_value", counting)
+        monkeypatch.setattr(families, "closed_value", counting)
         monkeypatch.setenv(TABLE_CAP_ENV, "20")
         code, out, err = run_cli(
             capsys,

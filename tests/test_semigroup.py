@@ -320,6 +320,13 @@ class TestScanPRange:
         with pytest.raises(InvalidInputError):
             scan_p_range((2, 3), -1)
 
+    def test_non_integral_n_p_is_an_error_not_a_floor(self, monkeypatch):
+        # An Apery column sums to a1(a1 - 1)/2 mod a1; (0, 4) sums to 0 mod 2,
+        # where 1 is due, and flooring would give n_0 = 1.
+        monkeypatch.setattr(semigroup, "_residue_sums", lambda gt, p_max, cap: [[0], [4]])
+        with pytest.raises(AssertionError, match="non-integral"):
+            scan_p_range((2, 3), 0)
+
     def test_min_generator_at_cap_allocates_no_class_lists(self):
         # Every sum but 0 is at least a2 > a1 >= cap, so no p is in reach.
         gens = (2000003, 2000004)
@@ -405,6 +412,10 @@ class TestEngineIsTheSweepRoute:
                 "--p-max", "4", "--format", "json"]
         assert cli.main(argv) == 0
         assert '"oracle"' in capsys.readouterr().out  # c < 0 quads have no closed form
+        argv = ["compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3", "--p", "2",
+                "--method", "both", "--format", "json"]
+        assert cli.main(argv) == 0
+        assert '"agreement": true' in capsys.readouterr().out
         assert verify_grid(SweepSpec((1, 3), (2, 4), (-10, 10), (1, 2))).passed()
         assert discover_validity(make_triple(40, 3, -7, 2), 40) == 40
         assert builds == []
