@@ -1,7 +1,7 @@
 """Command-line surface: compute, apery, verify, and table subcommands.
 
 Every g_p and n_p printed is a closed form (`closed_or_refusal`) or, where
-that refuses, read from the residue-class engine (`scan_p_range`).
+that refuses, read from the residue-class engine.
 
 Exit codes are a stable contract: 0 success/agreement, 1 verification or
 method mismatch, 2 invalid input, 3 resource limit, and 141 when the reader
@@ -32,6 +32,8 @@ from .families import (
 from .semigroup import (
     GeneratorTuple,
     apery_set,
+    p_frobenius_via_apery,
+    p_sylvester_via_apery,
     require_row,
     scan_p_range,
 )
@@ -80,8 +82,12 @@ def cmd_compute(args) -> int:
     if args.method in ("closed", "both"):
         closed, closed_error = closed_or_refusal(params, args.quantity, args.p)
     if args.method != "closed" or closed is None:
-        i = 0 if args.quantity == "frobenius" else 1
-        oracle = require_row(scan_p_range(params.gens, args.p)[args.p], args.p)[i]
+        frobenius = args.quantity == "frobenius"
+        via_apery = p_frobenius_via_apery if frobenius else p_sylvester_via_apery
+        try:
+            oracle = via_apery(params.gens, args.p)
+        except ResourceLimitError:
+            require_row(None, args.p)  # raises, with compute's own cap message
     if closed is None and args.method == "closed":
         method_used = "oracle-fallback"
     elif closed is not None and args.method == "both":
@@ -181,15 +187,13 @@ def cmd_apery(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    policy: str | int
-    if args.p_policy == "theorem-range":
-        policy = "theorem-range"
-    else:
+    policy: str | int = args.p_policy
+    if policy != "theorem-range":
         try:
-            policy = int(args.p_policy)
+            policy = int(policy)
         except ValueError:
             raise InvalidInputError(
-                f"--p-policy must be 'theorem-range' or an integer, got {args.p_policy!r}"
+                f"--p-policy must be 'theorem-range' or an integer, got {policy!r}"
             ) from None
     spec = SweepSpec(
         a_range=_parse_range(args.a_range),

@@ -326,6 +326,7 @@ CLOSED_ERROR_TAGS = {
     OutOfValidityRangeError: "OutOfValidityRange",
     UnsupportedCaseError: "Unsupported",
 }
+_REFUSALS = tuple(CLOSED_ERROR_TAGS)
 
 
 def closed_value(fam: ShiftedGeometricFamily, quantity: str, p: int) -> int:
@@ -346,7 +347,7 @@ def closed_or_refusal(
     """(closed_value, None), or (None, its refusal's tag); other errors propagate."""
     try:
         return closed_value(fam, quantity, p), None
-    except tuple(CLOSED_ERROR_TAGS) as exc:
+    except _REFUSALS as exc:
         return None, CLOSED_ERROR_TAGS[type(exc)]
 
 

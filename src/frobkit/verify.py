@@ -48,19 +48,12 @@ class SweepSpec:
     min_gen_cap: int = DEFAULT_MIN_GEN_CAP
 
     def __post_init__(self) -> None:
-        for name, (lo, hi) in (
-            ("a_range", self.a_range),
-            ("b_range", self.b_range),
-            ("c_range", self.c_range),
-            ("n_range", self.n_range),
-        ):
+        for name in ("a_range", "b_range", "c_range", "n_range"):
+            lo, hi = getattr(self, name)
             if lo > hi:
                 raise InvalidInputError(f"{name} is empty: {lo}..{hi}")
-        for name, (lo, _), least in (
-            ("b_range", self.b_range, 2),
-            ("a_range", self.a_range, 1),
-            ("n_range", self.n_range, 1),
-        ):
+        for name, least in (("b_range", 2), ("a_range", 1), ("n_range", 1)):
+            lo = getattr(self, name)[0]
             if lo < least:
                 raise InvalidInputError(
                     f"{name} lower bound must be >= {least}, got {lo}"

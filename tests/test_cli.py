@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobkit import FrobkitError, ResourceLimitError, cli, families
@@ -118,7 +119,7 @@ class TestCompute:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "scan_p_range", exhausted)
+        monkeypatch.setattr(cli, "p_frobenius_via_apery", exhausted)
         code, _, err = run_cli(
             capsys,
             "compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
@@ -127,28 +128,56 @@ class TestCompute:
         assert code == 3
         assert "memory" in err
 
+    @pytest.mark.parametrize("family", [("5", "2", "19", "3"), ("1", "2", "-1", "1")])
+    @pytest.mark.parametrize("quantity", ["frobenius", "sylvester"])
+    def test_huge_p_past_cap_exits_3_with_the_cap_message(
+        self, capsys, monkeypatch, family, quantity
+    ):
+        # gens (21, 61, 141) have a1 above the cap, (3, 5, 9) below it; either
+        # way the oracle's memory is bounded by the cap, not by p
+        a, b, c, n = family
+        p = "100000000000000000000"
+        monkeypatch.setenv(TABLE_CAP_ENV, "20")
+        code, out, err = run_cli(
+            capsys,
+            "compute", "--a", a, "--b", b, f"--c={c}", "--n", n, "--p", p,
+            "--method", "oracle", "--quantity", quantity,
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: forward scan for p={p} exceeded table cap 20\n"
+
+
+def _valid_families():
+    """The (a, b, c, n, k) with a <= 5, b <= 4, 0 < |c| <= 40, n <= 2 that build."""
+    out = []
+    for a, b, c, n, k in itertools.product(
+        range(1, 6), range(2, 5), range(-40, 41), range(1, 3), (3, 4)
+    ):
+        make = families.make_triple if k == 3 else families.make_quad
+        try:
+            make(a, b, c, n)
+        except FrobkitError:
+            continue
+        if c:
+            out.append((a, b, c, n, k))
+    return out
+
 
 class TestComputeReadsTheEngine:
     @given(
-        st.integers(1, 5),
-        st.integers(2, 4),
-        st.integers(-40, 40).filter(bool),
-        st.integers(1, 2),
-        st.sampled_from((3, 4)),
+        st.sampled_from(_valid_families()),
         st.sampled_from(("frobenius", "sylvester")),
         st.integers(0, 8),
         st.none() | st.integers(20, 3000),
     )
     @settings(max_examples=60, deadline=None)
-    @example(5, 2, 19, 3, 3, "frobenius", 8, 20)
-    @example(2, 3, -5, 2, 4, "sylvester", 3, None)
-    @example(4, 3, -1, 1, 3, "sylvester", 6, 600)
-    def test_oracle_equals_the_forward_scan(self, a, b, c, n, k, quantity, p, cap):
+    @example((5, 2, 19, 3, 3), "frobenius", 8, 20)
+    @example((2, 3, -5, 2, 4), "sylvester", 3, None)
+    @example((4, 3, -1, 1, 3), "sylvester", 6, 600)
+    def test_oracle_equals_the_forward_scan(self, family, quantity, p, cap):
+        a, b, c, n, k = family
         make = families.make_triple if k == 3 else families.make_quad
-        try:
-            gens = make(a, b, c, n).gens
-        except FrobkitError:
-            assume(False)
+        gens = make(a, b, c, n).gens
         scan = p_frobenius_scan if quantity == "frobenius" else p_sylvester_count
         argv = ["compute", "--a", str(a), "--b", str(b), f"--c={c}", "--n", str(n),
                 "--vars", str(k), "--p", str(p), "--quantity", quantity,
