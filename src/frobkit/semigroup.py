@@ -7,7 +7,7 @@ and the p-Frobenius and p-Sylvester numbers:
   above a1 from a heap and keeps the p_max + 1 smallest of each class mod
   a1. It gives every p-Apery set for p <= p_max in one pass, in
   O((p_max + 1) * k * a1 * log) time whatever the size of g_p, and serves
-  `apery_set`, the `*_via_apery` functions and `scan_p_range`;
+  `apery_set`, the `*_via_apery` functions and the capped rows of `scan_p_range`;
 - the coin-counting DP count table (`_raw_counts`) serves the forward scans
   `p_frobenius_scan` and `p_sylvester_count`, the denumerants and the
   redundancy check, and cross-checks the engine.
@@ -245,29 +245,29 @@ def _read_apery(table: AperyTable) -> tuple[int, int]:
 
 def scan_p_range(
     gens: GeneratorTuple | Iterable[int], p_max: int, *, table_cap: int | None = None
-) -> list[tuple[int, int] | None]:
-    """(g_p, n_p) for every 0 <= p <= p_max, from one residue-class pass.
+) -> list[tuple[int, int]]:
+    """(g_p, n_p) for p = 0, 1, ..., from one residue-class pass.
 
-    Each row is `_read_apery` of that p's Apery set. An entry is None
-    where the table cap stops that p, that is where g_p + a1 >= cap; since
-    g_p never decreases as p grows, those entries form a tail of the list.
+    Row p is `_read_apery` of that p's Apery set. The rows stop at p_max or
+    before the first p the table cap stops (g_p + a1 >= cap), whichever comes
+    first; g_p never decreases as p grows. `require_row` reads them.
     """
     gt = as_generators(gens)
     _check_p(p_max)
-    rows: list[tuple[int, int] | None] = [None] * (p_max + 1)
-    for p, column in enumerate(zip(*_residue_sums(gt, p_max, table_cap))):
-        rows[p] = _read_apery(AperyTable(gt, p, column))
-    return rows
+    return [
+        _read_apery(AperyTable(gt, p, column))
+        for p, column in enumerate(zip(*_residue_sums(gt, p_max, table_cap)))
+    ]
 
 
 def require_row(
-    row: tuple[int, int] | None, p: int, table_cap: int | None = None
+    rows: list[tuple[int, int]], p: int, table_cap: int | None = None
 ) -> tuple[int, int]:
-    """A scan's (g_p, n_p); ResourceLimitError where the table cap stopped p."""
-    if row is None:
-        cap = effective_table_cap(table_cap)
-        raise ResourceLimitError(f"forward scan for p={p} exceeded table cap {cap}")
-    return row
+    """rows[p] of a `scan_p_range` list; ResourceLimitError where the cap stopped p."""
+    if p < len(rows):
+        return rows[p]
+    cap = effective_table_cap(table_cap)
+    raise ResourceLimitError(f"forward scan for p={p} exceeded table cap {cap}")
 
 
 def apery_set(
@@ -317,7 +317,7 @@ def _scan_low_counts(
         if g + a1 <= bound:
             return g, sum(cnt <= p for cnt in counts)
         if bound >= cap - 1:
-            require_row(None, p, cap)  # raises: the cap stops p
+            require_row([], p, cap)  # raises: the cap stops p
         bound *= 2
 
 

@@ -64,8 +64,9 @@ class SweepSpec:
             raise InvalidInputError(
                 f"p_policy must be 'theorem-range' or an integer, got {self.p_policy!r}"
             )
-        if isinstance(self.p_policy, int) and self.p_policy < 0:
-            raise InvalidInputError(f"fixed p_policy must be >= 0, got {self.p_policy}")
+        if isinstance(self.p_policy, int) and not 0 <= self.p_policy < sys.maxsize:
+            bound = ">= 0" if self.p_policy < 0 else f"< {sys.maxsize}"
+            raise InvalidInputError(f"fixed p_policy must be {bound}, got {self.p_policy}")
         if self.sample_limit is not None and self.sample_limit < 0:
             raise InvalidInputError(
                 f"sample_limit must be >= 0, got {self.sample_limit}"
@@ -191,7 +192,7 @@ def _points(
     points = []
     for p in p_values:
         closed, closed_error = closed_or_refusal(params, "frobenius", p)
-        g = None if oracle[p] is None else oracle[p][0]
+        g = oracle[p][0] if p < len(oracle) else None
         points.append(
             PointResult(
                 a=params.a,
@@ -301,18 +302,20 @@ def discover_validity(
         gens = GeneratorTuple(pair)
         closed = partial(g_p_two_gens, *gens.gens)
 
-    values = []
+    values, cap = [], None
     for p in range(p_max + 1):
         try:
             values.append(closed(p))
         except FrobkitError:
             break
         # The window for p ends at g_p + a1. Past the table cap, the oracle
-        # stops at p or disagrees with the closed value there: p decides.
-        if values[-1] + gens.a1 >= effective_table_cap(table_cap):
+        # stops at p or disagrees with the closed value there: p decides. A
+        # refusal at p = 0 needs no oracle, so it reads no cap.
+        cap = cap or effective_table_cap(table_cap)
+        if values[-1] + gens.a1 >= cap:
             break
-    rows = scan_p_range(gens, len(values) - 1, table_cap=table_cap) if values else []
-    for p, (value, row) in enumerate(zip(values, rows)):
-        if value != require_row(row, p, table_cap)[0]:
+    rows = scan_p_range(gens, len(values) - 1, table_cap=cap) if values else []
+    for p, value in enumerate(values):
+        if value != require_row(rows, p, cap)[0]:
             return p - 1
     return len(values) - 1

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frobkit import FrobkitError, ResourceLimitError, cli, families
+from frobkit import FrobkitError, ResourceLimitError, cli, families, semigroup
 from frobkit.cli import main
 from frobkit.semigroup import TABLE_CAP_ENV, p_frobenius_scan, p_sylvester_count
 
@@ -255,6 +255,43 @@ class TestApery:
         assert code == 2
         assert "--gens" in err
 
+    def test_json_entries_and_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "apery", "--gens", "2,3", "--p", "1", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["entries"], obj["max_entry"]) == (["6", "9"], "9")
+        code, out, _ = run_cli(
+            capsys,
+            "apery", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
+            "--p", "0", "--grid", "--format", "json",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert len(obj["positions"]) == 21
+        assert (obj["residue_unit"], obj["max_entry"]) == ("19", "968")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--a", "5", "--b", "2", "--c", "19", "--n", "3", "--p", "20000"],
+             "p=20000 exceeds validity bound q=7"),
+            (["--gens", "2000003,2000004", "--p", "0"],
+             "--grid requires the three-term family flags"),
+            (["--a", "2", "--b", "3", "--c", "37", "--n", "3", "--vars", "4", "--p", "0"],
+             "--grid requires the three-term family flags"),
+            (["--a", "4", "--b", "3", "--c=-1", "--n", "1", "--p", "0"],
+             "the position grid is constructed only for c > 0"),
+        ],
+        ids=["past-q", "gens", "quad", "negative-c"],
+    )
+    def test_grid_refuses_before_the_engine_runs(self, capsys, monkeypatch, argv, message):
+        def engine(*args):
+            raise AssertionError("the engine ran for a --grid request that must fail")
+
+        monkeypatch.setattr(semigroup, "_residue_sums", engine)
+        code, out, err = run_cli(capsys, "apery", *argv, "--grid")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestVerify:
     def test_default_small_ranges_pass(self, capsys):
@@ -316,6 +353,50 @@ class TestVerify:
         assert lines[1:] == []  # no point was counted as mismatched
         assert "oracle=None" not in out
 
+    def test_text_summary_golden(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--a-range", "1..3", "--b-range", "2..4",
+            "--c-range=-10..10", "--n-range", "1..2",
+        )
+        assert code == 0
+        assert out == (
+            "total=715 matched=448 mismatched=0 skipped_gcd=256 no_case=4 "
+            "out_of_range=7 skipped_large=0 resource_limit=0\n"
+        )
+
+    def test_fixed_p_policy_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--a-range", "5..5", "--b-range", "2..2", "--c-range", "19..19",
+            "--n-range", "3..3", "--p-policy", "3", "--format", "csv",
+        )
+        assert code == 0
+        g = (947, 1088, 1229, 1370)
+        assert out.splitlines() == ["a,b,c,n,p,closed,closed_error,oracle,case,match"] + [
+            f"5,2,19,3,{p},{g[p]},,{g[p]},,true" for p in range(4)
+        ]
+
+    def test_malformed_p_policy_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--p-policy", "x")
+        assert (code, out) == (2, "")
+        assert err == "error: --p-policy must be 'theorem-range' or an integer, got 'x'\n"
+
+    @pytest.mark.parametrize("p_policy", [sys.maxsize, 2**63])
+    def test_huge_p_policy_exits_2(self, capsys, monkeypatch, p_policy):
+        # One point per p would never end, and one list slot per p would
+        # not fit in memory; the spec refuses such a p_policy up front.
+        monkeypatch.setenv(TABLE_CAP_ENV, "20")
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--a-range", "5..5", "--b-range", "2..2", "--c-range", "19..19",
+            "--n-range", "3..3", "--p-policy", str(p_policy),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: fixed p_policy must be < {sys.maxsize}, got {p_policy}\n"
+        )
+
     def test_negative_limit_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--limit", "-1")
         assert code == 2
@@ -366,6 +447,19 @@ class TestTable:
         rows = list(csv.reader(io.StringIO(out)))
         assert [int(r[1]) for r in rows[1:]] == [316, 425, 534, 643]
         assert all(r[4] == "oracle" for r in rows[1:])  # no closed genus form
+
+    def test_text_layout(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--a", "5", "--b", "2", "--c", "19", "--n", "3", "--p-max", "2"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "generators: 21 61 141",
+            "   p            g_p   method            n_p   method",
+            "   0            947   closed            474   closed",
+            "   1           1088   closed            651   closed",
+            "   2           1229   closed            822   closed",
+        ]
 
     def test_p_max_zero_single_row(self, capsys):
         code, out, _ = run_cli(
@@ -435,14 +529,16 @@ class TestTable:
 
         monkeypatch.setattr(families, "closed_value", counting)
         monkeypatch.setenv(TABLE_CAP_ENV, "20")
-        code, out, err = run_cli(
-            capsys,
-            "table", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
-            "--p-max", "2000000",
-        )
-        assert (code, out) == (3, "")
-        assert err == "error: forward scan for p=8 exceeded table cap 20\n"
-        assert max(calls) == 8
+        for p_max in ("2000000", "9223372036854775808"):  # 2**63 fits no list
+            calls.clear()
+            code, out, err = run_cli(
+                capsys,
+                "table", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
+                "--p-max", p_max,
+            )
+            assert (code, out) == (3, "")
+            assert err == "error: forward scan for p=8 exceeded table cap 20\n"
+            assert max(calls) == 8
 
 
 class TestEntrypoint:

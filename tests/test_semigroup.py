@@ -304,7 +304,7 @@ class TestScanPRange:
         # holds the windows of p <= 2 only.
         rows = scan_p_range((2, 3), 5, table_cap=20)
         assert rows[:3] == [(1, 1), (7, 7), (13, 13)]
-        assert rows[3:] == [None, None, None]
+        assert len(rows) == 3
         assert p_frobenius_scan((2, 3), 2, table_cap=20) == 13
         with pytest.raises(ResourceLimitError):
             p_frobenius_scan((2, 3), 3, table_cap=20)
@@ -312,9 +312,19 @@ class TestScanPRange:
             apery_set((2, 3), 3, table_cap=20)
         with pytest.raises(ResourceLimitError):  # no per-p storage for a huge p
             p_frobenius_scan((2, 3), 10**12, table_cap=20)
-        assert scan_p_range((2, 3), 0, table_cap=1) == [None]  # the table is [1]
+        assert scan_p_range((2, 3), 0, table_cap=1) == []  # the table is [1]
         with pytest.raises(ResourceLimitError):
             p_sylvester_count((2, 3), 0, table_cap=1)
+
+    def test_huge_p_max_allocates_only_the_filled_rows(self):
+        tracemalloc.start()
+        try:
+            rows = scan_p_range((2, 3), 10**7, table_cap=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == [(1, 1), (7, 7), (13, 13)]
+        assert peak < 1_000_000
 
     def test_negative_p_max_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -338,7 +348,7 @@ class TestScanPRange:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rows == [None]
+        assert rows == []
         assert str(info.value) == (
             "Apery scan for p=0 exceeded table cap 1000 "
             "(1/2000003 residue classes filled)"
@@ -381,15 +391,15 @@ class TestResidueEngineCrossRoute:
         gens = GeneratorTuple(tuple(raw)).gens
         cap = effective_table_cap(table_cap)
         rows = scan_p_range(raw, p_max, table_cap=table_cap)
-        assert len(rows) == p_max + 1
-        for p, row in enumerate(rows):
-            g, n = naive_g_p(gens, p), naive_n_p(gens, p)
-            # The row needs every p-Apery element, the largest being g_p + a1.
-            assert row == (None if g + gens[0] >= cap else (g, n))
+        naive = [(naive_g_p(gens, p), naive_n_p(gens, p)) for p in range(p_max + 1)]
+        # A row needs every p-Apery element, the largest being g_p + a1; g_p
+        # never decreases, so the rows in reach form a prefix.
+        assert rows == [(g, n) for g, n in naive if g + gens[0] < cap]
+        for p, row in enumerate(naive):
             for i, scan in enumerate((p_frobenius_scan, p_sylvester_count)):
                 want = (
                     (ResourceLimitError, f"forward scan for p={p} exceeded table cap {cap}")
-                    if row is None
+                    if p >= len(rows)
                     else row[i]
                 )
                 assert outcome(scan, raw, p, table_cap=table_cap) == want
