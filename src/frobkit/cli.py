@@ -27,12 +27,14 @@ from .families import (
     case_tag,
     closed_or_refusal,
     digit_decompose,
+    grid_digits,
     make_quad,
     make_triple,
 )
 from .semigroup import (
     GeneratorTuple,
     apery_set,
+    cap_error,
     p_frobenius_via_apery,
     p_sylvester_via_apery,
     require_row,
@@ -88,7 +90,7 @@ def cmd_compute(args) -> int:
         try:
             oracle = via_apery(params.gens, args.p)
         except ResourceLimitError:
-            require_row([], args.p)  # raises, with compute's own cap message
+            raise cap_error(args.p) from None
     if closed is None and args.method == "closed":
         method_used = "oracle-fallback"
     elif closed is not None and args.method == "both":
@@ -143,7 +145,7 @@ def _parse_gens(text: str) -> GeneratorTuple:
 
 
 def cmd_apery(args) -> int:
-    grid = params = None
+    params = None
     if args.gens is not None:
         gens = _parse_gens(args.gens)
     else:
@@ -154,8 +156,9 @@ def cmd_apery(args) -> int:
     if args.grid:
         if params is None or params.k != 3:
             raise InvalidInputError("--grid requires the three-term family flags")
-        grid = apery_grid_triple(params, args.p)
+        grid_digits(params, args.p)  # refuses a grid request before the engine runs
     table = apery_set(gens, args.p)
+    grid = apery_grid_triple(params, args.p) if args.grid else None
     if grid is not None and grid.entries_by_residue() != table.entries:
         print("grid/apery value mismatch", file=sys.stderr)
         return EXIT_MISMATCH
@@ -328,19 +331,11 @@ def _merge_range_flags(argv: list[str]) -> list[str]:
     # argparse would mistake a leading-minus range value (-10..-1) for a flag;
     # join such pairs into --flag=value form before parsing.
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in _RANGE_FLAGS
-            and i + 1 < len(argv)
-            and _RANGE_RE.match(argv[i + 1])
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _RANGE_FLAGS and _RANGE_RE.match(tok):
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

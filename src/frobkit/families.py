@@ -28,7 +28,7 @@ from .errors import (
     OutOfValidityRangeError,
     UnsupportedCaseError,
 )
-from .semigroup import GeneratorTuple
+from .semigroup import GeneratorTuple, check_p
 
 
 @dataclass(frozen=True)
@@ -205,15 +205,13 @@ def g_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
 
     Cases 3 and 4 (c < 0) refuse past p = 3 and p = 2; case 4 also at p = q.
     """
-    if p < 0:
-        raise InvalidInputError(f"p must be >= 0, got {p}")
+    check_p(p)
     return _frobenius(t, 3, p)
 
 
 def n_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
     """Closed-form p-Sylvester number of a three-term family (c > 0 only)."""
-    if p < 0:
-        raise InvalidInputError(f"p must be >= 0, got {p}")
+    check_p(p)
     if t.c < 0:
         raise UnsupportedCaseError(
             "no closed p-Sylvester form for c < 0; use p_sylvester_count"
@@ -266,24 +264,25 @@ class AperyGridTriple:
         return tuple(entries)  # type: ignore[arg-type]
 
 
+def grid_digits(t: ShiftedGeometricFamily, p: int) -> tuple[int, ...]:
+    """(q, r) of a triple, once its position grid exists: c > 0 and 0 <= p <= q."""
+    check_p(p)
+    if t.c < 0:
+        raise InvalidInputError("the position grid is constructed only for c > 0")
+    return _stated_digits(t, 3, p)
+
+
 def apery_grid_triple(t: ShiftedGeometricFamily, p: int) -> AperyGridTriple:
     """Emit the Apery position set for c > 0 and 0 <= p <= q.
 
     Layout: a (b+1)-wide block of q-p full rows, a partial row of r entries,
     then p staircase pairs of rows (widths b+1-r and r) shifting left as x3
-    grows. Cardinality is exactly the minimum generator.
+    grows. Cardinality is exactly the minimum generator. `grid_digits` makes
+    the refusals without building the grid.
     """
-    if p < 0:
-        raise InvalidInputError(f"p must be >= 0, got {p}")
-    if t.c < 0:
-        raise InvalidInputError("the position grid is constructed only for c > 0")
-    q, r = _stated_digits(t, 3, p)
-    b = t.b
-    w = b + 1
-    positions: set[tuple[int, int]] = set()
-    for x3 in range(q - p):
-        for x2 in range(p * w, (p + 1) * w):
-            positions.add((x2, x3))
+    q, r = grid_digits(t, p)
+    w = t.b + 1
+    positions = {(x2, x3) for x3 in range(q - p) for x2 in range(p * w, (p + 1) * w)}
     for x2 in range(p * w, p * w + r):
         positions.add((x2, q - p))
     for step in range(1, p + 1):
@@ -294,14 +293,12 @@ def apery_grid_triple(t: ShiftedGeometricFamily, p: int) -> AperyGridTriple:
             positions.add((x2, q - p + 2 * step))
     a1 = t.gens.a1
     if len(positions) != a1:
-        raise AssertionError(
-            f"grid has {len(positions)} positions, expected {a1}"
-        )
+        raise AssertionError(f"grid has {len(positions)} positions, expected {a1}")
     return AperyGridTriple(
         triple=t,
         p=p,
         positions=frozenset(positions),
-        residue_unit=((b - 1) * t.c) % a1,
+        residue_unit=((t.b - 1) * t.c) % a1,
     )
 
 
@@ -311,8 +308,7 @@ def g_p_closed_quad(qd: ShiftedGeometricFamily, p: int) -> int:
     Only positive shifts are covered; beyond b - beta the maximal-position
     pattern breaks down and the oracle must be used.
     """
-    if p < 0:
-        raise InvalidInputError(f"p must be >= 0, got {p}")
+    check_p(p)
     if qd.c < 0:
         raise UnsupportedCaseError(
             "no closed four-term form for c < 0; use p_frobenius_scan"
@@ -363,8 +359,7 @@ def g_p_two_gens(a: int, b: int, p: int) -> int:
     """p-Frobenius number of two coprime generators: (p+1)ab - a - b."""
     if a < 2 or b < 2:
         raise InvalidInputError(f"generators must be >= 2, got ({a}, {b})")
-    if p < 0:
-        raise InvalidInputError(f"p must be >= 0, got {p}")
+    check_p(p)
     if math.gcd(a, b) != 1:
         raise GcdNotOneError(f"gcd({a}, {b}) = {math.gcd(a, b)}, expected 1")
     return (p + 1) * a * b - a - b

@@ -183,7 +183,8 @@ class AperyTable:
         return max(self.entries)
 
 
-def _check_p(p: int) -> None:
+def check_p(p: int) -> None:
+    """Refuse a negative p; every p-indexed quantity starts at p = 0."""
     if p < 0:
         raise InvalidInputError(f"p must be >= 0, got {p}")
 
@@ -253,7 +254,7 @@ def scan_p_range(
     first; g_p never decreases as p grows. `require_row` reads them.
     """
     gt = as_generators(gens)
-    _check_p(p_max)
+    check_p(p_max)
     return [
         _read_apery(AperyTable(gt, p, column))
         for p, column in enumerate(zip(*_residue_sums(gt, p_max, table_cap)))
@@ -266,8 +267,13 @@ def require_row(
     """rows[p] of a `scan_p_range` list; ResourceLimitError where the cap stopped p."""
     if p < len(rows):
         return rows[p]
+    raise cap_error(p, table_cap)
+
+
+def cap_error(p: int, table_cap: int | None = None) -> ResourceLimitError:
+    """The error for a p whose rows or count window the table cap stops."""
     cap = effective_table_cap(table_cap)
-    raise ResourceLimitError(f"forward scan for p={p} exceeded table cap {cap}")
+    return ResourceLimitError(f"forward scan for p={p} exceeded table cap {cap}")
 
 
 def apery_set(
@@ -275,7 +281,7 @@ def apery_set(
 ) -> AperyTable:
     """Compute the order-p Apery table from one residue-class pass."""
     gt = as_generators(gens)
-    _check_p(p)
+    check_p(p)
     lists = _residue_sums(gt, p, table_cap)
     filled = sum(len(bucket) > p for bucket in lists)
     if filled < gt.a1:
@@ -306,7 +312,7 @@ def _scan_low_counts(
     a1 below the table's end.
     """
     gt = as_generators(gens)
-    _check_p(p)
+    check_p(p)
     a1 = gt.a1
     cap = effective_table_cap(table_cap)
     bound = max((p + 2) * gt.gens[-1], 4 * a1)
@@ -317,7 +323,7 @@ def _scan_low_counts(
         if g + a1 <= bound:
             return g, sum(cnt <= p for cnt in counts)
         if bound >= cap - 1:
-            require_row([], p, cap)  # raises: the cap stops p
+            raise cap_error(p, cap)
         bound *= 2
 
 

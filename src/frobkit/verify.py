@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
-from .errors import FrobkitError, InvalidInputError
+from .errors import FrobkitError, InvalidInputError, ResourceLimitError
 from .families import (
     ShiftedGeometricFamily,
     case_tag,
@@ -259,6 +259,10 @@ def verify_grid(
     """
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
+    if spec.p_policy != "theorem-range":
+        cap = effective_table_cap(table_cap)
+        if spec.p_policy >= cap:  # row p needs g_p + a1 < cap, and g_p + a1 > p
+            raise ResourceLimitError(f"fixed p_policy {spec.p_policy} >= table cap {cap}")
     tuples = spec.tuples()
     evaluate = partial(_evaluate_tuple, spec, table_cap)
     if workers > 1 and tuples:

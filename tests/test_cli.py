@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,27 @@ class TestApery:
         code, out, err = run_cli(capsys, "apery", *argv, "--grid")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_valid_grid_past_cap_exits_3_before_building_the_grid(self, capsys, monkeypatch):
+        # a1 = 1999999 >= cap: the Apery set stops at once, and the grid of a1
+        # positions is never built.
+        monkeypatch.setenv(TABLE_CAP_ENV, "1000")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys,
+                "apery", "--a", "1000000", "--b", "2", "--c", "1", "--n", "1",
+                "--p", "0", "--grid",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: Apery scan for p=0 exceeded table cap 1000 "
+            "(1/1999999 residue classes filled)\n"
+        )
+        assert peak < 1_000_000
+
 
 class TestVerify:
     def test_default_small_ranges_pass(self, capsys):
@@ -395,6 +417,24 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == (
             f"error: fixed p_policy must be < {sys.maxsize}, got {p_policy}\n"
+        )
+
+    def test_p_policy_at_or_past_the_cap_exits_3_at_once(self, capsys, monkeypatch):
+        # No row p >= cap can be filled, so such a p_policy would only list
+        # that many unfillable points per tuple; 2**62 used to run until
+        # memory ran out.
+        monkeypatch.setenv(TABLE_CAP_ENV, "20")
+        spec = ["verify", "--a-range", "5..5", "--b-range", "2..2", "--c-range", "19..19",
+                "--n-range", "3..3"]
+        for p_policy in (20, 2**62):
+            code, out, err = run_cli(capsys, *spec, "--p-policy", str(p_policy))
+            assert (code, out) == (3, "")
+            assert err == f"error: fixed p_policy {p_policy} >= table cap 20\n"
+        code, out, _ = run_cli(capsys, *spec, "--p-policy", "19")
+        assert code == 0
+        assert out == (
+            "total=20 matched=0 mismatched=0 skipped_gcd=0 no_case=0 "
+            "out_of_range=12 skipped_large=0 resource_limit=8\n"
         )
 
     def test_negative_limit_exits_2(self, capsys):

@@ -31,7 +31,7 @@ from frobkit import (
     verify_grid,
 )
 from frobkit.errors import FrobkitError
-from frobkit.families import CLOSED_ERROR_TAGS, case_tag
+from frobkit.families import CLOSED_ERROR_TAGS, case_tag, grid_digits
 
 
 def random_positive_triples(count, seed, a_max=4, b_max=4, n_max=2):
@@ -310,6 +310,26 @@ class TestAperyGrid:
             apery_grid_triple(make_triple(4, 3, -1, 1), 0)
         with pytest.raises(OutOfValidityRangeError):
             apery_grid_triple(make_triple(5, 2, 19, 3), 8)
+
+    @pytest.mark.parametrize(
+        "abcn, p, error",
+        [
+            ((4, 3, -1, 1), 0, InvalidInputError),
+            ((5, 2, 19, 3), 8, OutOfValidityRangeError),
+            ((5, 2, 19, 3), -1, InvalidInputError),
+        ],
+    )
+    def test_grid_digits_refuses_what_the_grid_refuses(self, abcn, p, error):
+        t = make_triple(*abcn)
+        with pytest.raises(error) as from_digits:
+            grid_digits(t, p)
+        with pytest.raises(error) as from_grid:
+            apery_grid_triple(t, p)
+        assert str(from_digits.value) == str(from_grid.value)
+
+    def test_grid_digits_are_the_triple_digits(self):
+        for t, p in random_positive_triples(25, seed=808):
+            assert grid_digits(t, p) == digit_decompose(t)
 
     def test_residues_are_a_permutation(self):
         for t, p in random_positive_triples(25, seed=505):

@@ -114,6 +114,14 @@ class TestVerifyGrid:
         assert report.summary.matched == 8
         assert report.passed()
 
+    def test_fixed_p_policy_stops_at_the_table_cap(self):
+        spec = SweepSpec((5, 5), (2, 2), (19, 19), (3, 3), p_policy=30)
+        with pytest.raises(ResourceLimitError, match="p_policy 30 >= table cap 30"):
+            verify_grid(spec, table_cap=30)
+        report = verify_grid(spec, table_cap=31)  # g_0 + a1 = 968: no row fits
+        assert report.summary.total == 31
+        assert report.summary.resource_limit == 8
+
     def test_workers_below_one_rejected(self):
         spec = SweepSpec((5, 5), (2, 2), (19, 19), (3, 3))
         for workers in (0, -1):
