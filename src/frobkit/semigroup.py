@@ -208,27 +208,52 @@ def _residue_sums(
     When a1 >= cap, every sum but 0 is at least a2 > a1 >= cap, so class 0
     holds [0] and the others nothing; the result then stops after class 1,
     which stands for all of them, so that no a1-sized list is built.
+
+    A heap entry is one int, key = s*k + last: the sum s and the index last
+    into rest = gens[1:] of the generator it ended with, k = len(rest). Since
+    0 <= last < k, keys order as the (s, last) pairs do. The child
+    s + rest[i], i >= last, has key key + rest[i]*k + (i - last); these
+    steps are built once per call, and the child is below the cap iff its
+    key is below cap*k. A live root with a child below the cap is not
+    popped: heapreplace puts its first child in its place with one sift,
+    where a pop and a push take two. The root is popped when its class is
+    full or no child is below the cap.
     """
     cap = effective_table_cap(table_cap)
     if gt.a1 >= cap:
         return [[0], []]
     a1, rest = gt.a1, gt.gens[1:]
+    k = len(rest)
     need = p_max + 1
+    limit = cap * k
+    # steps[last]: the key step to the child that adds rest[last], then those
+    # adding rest[i], i > last. Steps grow with i, as rest does, so the first
+    # child at or past the cap ends the children.
+    steps = [
+        (rest[last] * k, [g * k + i - last for i, g in enumerate(rest) if i > last])
+        for last in range(k)
+    ]
     found: list[list[int]] = [[] for _ in range(a1)]
     open_classes = a1
-    heap = [(0, 0)]  # (sum, index into rest of the last generator used)
+    heap = [0]
     while heap and open_classes:
-        s, last = heapq.heappop(heap)
+        key = heap[0]
+        s, last = divmod(key, k)
         bucket = found[s % a1]
-        if len(bucket) == need:
-            continue
-        bucket.append(s)
-        open_classes -= len(bucket) == need
-        for i in range(last, len(rest)):
-            t = s + rest[i]
-            if t >= cap:
-                break
-            heapq.heappush(heap, (t, i))
+        if len(bucket) < need:
+            bucket.append(s)
+            open_classes -= len(bucket) == need
+            first, others = steps[last]
+            t = key + first
+            if t < limit:
+                heapq.heapreplace(heap, t)
+                for d in others:
+                    t = key + d
+                    if t >= limit:
+                        break
+                    heapq.heappush(heap, t)
+                continue
+        heapq.heappop(heap)
     return found
 
 

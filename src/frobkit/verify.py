@@ -1,4 +1,4 @@
-"""Cross-checks closed forms against the scan oracle over parameter grids.
+"""Cross-checks closed forms against the residue-class engine over parameter grids.
 
 A sweep evaluates each parameter tuple for all of its p from one oracle
 pass. Tuple evaluations are pure and independent, so sweeps may run them in
@@ -261,7 +261,10 @@ def verify_grid(
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
     if spec.p_policy != "theorem-range":
         cap = effective_table_cap(table_cap)
-        if spec.p_policy >= cap:  # row p needs g_p + a1 < cap, and g_p + a1 > p
+        # A fixed p_policy lists p_policy + 1 points per tuple, so the gate
+        # bounds a report's points per tuple by the cap. It is no bound on
+        # reach: d(m) can outgrow m, and (3, 5, 9) has g_2000 + a1 = 733.
+        if spec.p_policy >= cap:
             raise ResourceLimitError(f"fixed p_policy {spec.p_policy} >= table cap {cap}")
     tuples = spec.tuples()
     evaluate = partial(_evaluate_tuple, spec, table_cap)

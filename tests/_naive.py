@@ -54,3 +54,25 @@ def naive_n_p(gens: tuple[int, ...], p: int) -> int:
             count += 1
         m += 1
     return count
+
+
+def naive_residue_sums(gens: tuple[int, ...], p_max: int, cap: int) -> list[list[int]]:
+    """Per class j mod gens[0], the p_max + 1 smallest sums of gens[1:] below cap.
+
+    Lists every sum x2*g2 + ... + xk*gk below a bound, once per tuple of
+    multiplicities, so equal sums repeat, and sorts them into their classes.
+    The bound doubles from 2*gens[0] up to cap and stops early once every
+    class holds p_max + 1 sums: the sums past it are larger than those.
+    """
+    a1, rest = gens[0], gens[1:]
+    bound = a1
+    while True:
+        bound = min(2 * bound, cap)
+        sums = [0]
+        for g in rest:
+            sums = [s + x * g for s in sums for x in range((bound - 1 - s) // g + 1)]
+        found: list[list[int]] = [[] for _ in range(a1)]
+        for s in sorted(sums):
+            found[s % a1].append(s)
+        if bound == cap or all(len(bucket) > p_max for bucket in found):
+            return [bucket[: p_max + 1] for bucket in found]

@@ -420,9 +420,8 @@ class TestVerify:
         )
 
     def test_p_policy_at_or_past_the_cap_exits_3_at_once(self, capsys, monkeypatch):
-        # No row p >= cap can be filled, so such a p_policy would only list
-        # that many unfillable points per tuple; 2**62 used to run until
-        # memory ran out.
+        # The gate bounds a report's points per tuple by the cap; 2**62 used
+        # to run until memory ran out.
         monkeypatch.setenv(TABLE_CAP_ENV, "20")
         spec = ["verify", "--a-range", "5..5", "--b-range", "2..2", "--c-range", "19..19",
                 "--n-range", "3..3"]
@@ -436,6 +435,21 @@ class TestVerify:
             "total=20 matched=0 mismatched=0 skipped_gcd=0 no_case=0 "
             "out_of_range=12 skipped_large=0 resource_limit=8\n"
         )
+
+    def test_p_policy_gate_bounds_points_not_reach(self, capsys, monkeypatch):
+        # d(m) outgrows m on (3, 5, 9): under cap 2000, row 2000 is in reach
+        # (g_2000 + a1 = 733), yet a fixed p_policy 2000 is refused, as it
+        # would list 2001 points per tuple.
+        monkeypatch.setenv(TABLE_CAP_ENV, "2000")
+        code, out, _ = run_cli(capsys, "table", "--a", "1", "--b", "2", "--c=-1", "--n", "1",
+                               "--p-max", "2000", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert (len(rows), rows[-1]["p"], rows[-1]["g"]) == (2001, "2000", "730")
+        assert p_frobenius_scan((3, 5, 9), 2000) == 730
+        code, out, err = run_cli(capsys, "verify", "--a-range", "1..1", "--b-range", "2..2",
+                                 "--c-range=-1..-1", "--n-range", "1..1", "--p-policy", "2000")
+        assert (code, out, err) == (3, "", "error: fixed p_policy 2000 >= table cap 2000\n")
 
     def test_negative_limit_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--limit", "-1")

@@ -31,7 +31,13 @@ from frobkit import (
 from frobkit import cli, semigroup
 from frobkit.semigroup import TABLE_CAP_ENV, effective_table_cap
 
-from _naive import naive_counts, naive_denumerant, naive_g_p, naive_n_p
+from _naive import (
+    naive_counts,
+    naive_denumerant,
+    naive_g_p,
+    naive_n_p,
+    naive_residue_sums,
+)
 
 
 def small_generator_tuples() -> st.SearchStrategy[GeneratorTuple]:
@@ -406,6 +412,39 @@ class TestResidueEngineCrossRoute:
             got = outcome(apery_set, raw, p, table_cap=table_cap)
             got = got.entries if isinstance(got, AperyTable) else got
             assert got == dp_apery_reference(gens, p, table_cap)
+
+
+class TestResidueSumsContract:
+    """The lists the engine returns, not only the rows read from them."""
+
+    @given(
+        st.lists(st.integers(2, 40), min_size=2, max_size=6).filter(
+            lambda gs: math.gcd(*gs) == 1
+        ),
+        st.integers(0, 8),
+        st.integers(1, 600),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_brute_force(self, raw, p_max, cap):
+        gens = GeneratorTuple(tuple(raw))
+        want = [[0], []] if gens.a1 >= cap else naive_residue_sums(gens.gens, p_max, cap)
+        assert semigroup._residue_sums(gens, p_max, cap) == want
+
+    @pytest.mark.parametrize(
+        "gens, p_max, cap, want",
+        [
+            ((2, 3), 3, None, [[0, 6, 12, 18], [3, 9, 15, 21]]),
+            ((2, 3), 3, 9, [[0, 6], [3]]),  # 9 is at the cap: dropped
+            ((2, 3), 3, 10, [[0, 6], [3, 9]]),  # 9 is just below it: kept
+            ((5, 7), 0, 5, [[0], []]),  # a1 >= cap: class 1 stands for all
+            ((5, 7), 0, 6, [[0], [], [], [], []]),
+            ((3, 5, 7), 8, 12, [[0], [7, 10], [5]]),  # no class fills
+            # 15 = 3+3+3+3+3 = 5+5+5 comes twice
+            ((2, 3, 5), 6, 16, [[0, 6, 8, 10, 12, 14], [3, 5, 9, 11, 13, 15, 15]]),
+        ],
+    )
+    def test_examples(self, gens, p_max, cap, want):
+        assert semigroup._residue_sums(GeneratorTuple(gens), p_max, cap) == want
 
 
 class TestEngineIsTheSweepRoute:
