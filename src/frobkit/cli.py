@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import re
@@ -58,8 +59,70 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
+#: Encodes a flat list of scalars with the C encoder. ensure_ascii escapes
+#: "\x00" inside strings, so the raw "\x00" between items splits the tokens.
+_SCALARS = json.JSONEncoder(separators=("\x00", ": "))
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+_encode_key = json.encoder.encode_basestring_ascii
+
+
+def _layout(obj, nl: str, scalars: list) -> str:
+    """obj as `json.dumps(obj, indent=2)` lays it out, with "%s" per scalar.
+
+    nl is the newline and indent of obj's own line; the scalars go to
+    `scalars` in output order. A list of plain dicts that share one key
+    order and hold plain scalars only is laid out as one repeated record.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = [
+            f"{_encode_key(key).replace('%', '%%')}: {_layout(value, inner, scalars)}"
+            for key, value in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if not isinstance(obj, (list, tuple)):
+        scalars.append(obj)
+        return "%s"
+    if not obj:
+        return "[]"
+    inner = nl + "  "
+    values = obj
+    kinds = set(map(type, obj))
+    if kinds == {dict} and len(set(map(tuple, obj))) == 1:
+        values = list(itertools.chain.from_iterable(map(dict.values, obj)))
+        kinds = set(map(type, values))
+    if kinds <= _PLAIN:
+        scalars.extend(values)
+        # With plain values, the first record's layout is every record's.
+        item = "%s" if values is obj else _layout(obj[0], inner, [])
+        items = [item] * len(obj)
+    else:
+        items = [_layout(item, inner, scalars) for item in obj]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _dumps(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, with one C-encoder call.
+
+    The containers are walked into one "%" layout, every scalar is encoded
+    in one call to the C encoder, and one "%" fills the layout. obj must not
+    contain itself. A key that is not a str raises TypeError in the key
+    encoder, as a value the encoder cannot take does; json.dumps then
+    converts the key, or raises for the value.
+    """
+    scalars: list = []
+    try:
+        layout = _layout(obj, "\n", scalars)
+        tokens = _SCALARS.encode(scalars)[1:-1].split("\x00") if scalars else []
+    except TypeError:
+        return json.dumps(obj, indent=2)
+    return layout % tuple(tokens)
+
+
 def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
 
 
 def _emit_csv(rows: list[list[str]]) -> None:
@@ -246,19 +309,20 @@ def cmd_table(args) -> int:
         rows.append(row)
 
     header = ["p", "g", "g_method", "n", "n_method"]
+    # Every number is rendered before any output, so a value past Python's
+    # int-to-str digit limit stops the command with nothing printed.
+    gens = [str(g) for g in params.gens]
+    cells = [list(map(str, row)) for row in rows]
     if args.format == "json":
         _emit_json(
-            {
-                "generators": [str(g) for g in params.gens],
-                "rows": [dict(zip(header, map(str, row))) for row in rows],
-            }
+            {"generators": gens, "rows": [dict(zip(header, row)) for row in cells]}
         )
     elif args.format == "csv":
-        _emit_csv([header] + [list(map(str, row)) for row in rows])
+        _emit_csv([header] + cells)
     else:
-        print("generators:", " ".join(str(g) for g in params.gens))
+        print("generators:", " ".join(gens))
         print(f"{'p':>4} {'g_p':>14} {'method':>8} {'n_p':>14} {'method':>8}")
-        for p, g, gm, n, nm in rows:
+        for p, g, gm, n, nm in cells:
             print(f"{p:>4} {g:>14} {gm:>8} {n:>14} {nm:>8}")
     return EXIT_OK
 
@@ -353,6 +417,17 @@ def main(argv: list[str] | None = None) -> int:
     except FrobkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except ValueError as exc:
+        # str() of an int past sys.get_int_max_str_digits() raises a plain
+        # ValueError; every supported Python words it with this phrase.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            "error: a value has more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's int-to-str limit",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
 
 
 def entrypoint() -> None:

@@ -209,12 +209,14 @@ def _residue_sums(
     holds [0] and the others nothing; the result then stops after class 1,
     which stands for all of them, so that no a1-sized list is built.
 
-    A heap entry is one int, key = s*k + last: the sum s and the index last
-    into rest = gens[1:] of the generator it ended with, k = len(rest). Since
-    0 <= last < k, keys order as the (s, last) pairs do. The child
-    s + rest[i], i >= last, has key key + rest[i]*k + (i - last); these
+    A heap entry is one int, key = s << sh | last: the sum s and the index
+    last into rest = gens[1:] of the generator it ended with, with
+    sh = (k - 1).bit_length() for k = len(rest), so a pop reads s = key >> sh
+    and last = key & mask. Since 0 <= last < 2**sh, keys order as the
+    (s, last) pairs do; two generators give sh = 0 and key = s. The child
+    s + rest[i], i >= last, has key key + (rest[i] << sh) + (i - last); these
     steps are built once per call, and the child is below the cap iff its
-    key is below cap*k. A live root with a child below the cap is not
+    key is below cap << sh. A live root with a child below the cap is not
     popped: heapreplace puts its first child in its place with one sift,
     where a pop and a push take two. The root is popped when its class is
     full or no child is below the cap.
@@ -224,13 +226,15 @@ def _residue_sums(
         return [[0], []]
     a1, rest = gt.a1, gt.gens[1:]
     k = len(rest)
+    sh = (k - 1).bit_length()
+    mask = (1 << sh) - 1
     need = p_max + 1
-    limit = cap * k
+    limit = cap << sh
     # steps[last]: the key step to the child that adds rest[last], then those
     # adding rest[i], i > last. Steps grow with i, as rest does, so the first
     # child at or past the cap ends the children.
     steps = [
-        (rest[last] * k, [g * k + i - last for i, g in enumerate(rest) if i > last])
+        (rest[last] << sh, [(g << sh) + i - last for i, g in enumerate(rest) if i > last])
         for last in range(k)
     ]
     found: list[list[int]] = [[] for _ in range(a1)]
@@ -238,12 +242,12 @@ def _residue_sums(
     heap = [0]
     while heap and open_classes:
         key = heap[0]
-        s, last = divmod(key, k)
+        s = key >> sh
         bucket = found[s % a1]
         if len(bucket) < need:
             bucket.append(s)
             open_classes -= len(bucket) == need
-            first, others = steps[last]
+            first, others = steps[key & mask]
             t = key + first
             if t < limit:
                 heapq.heapreplace(heap, t)

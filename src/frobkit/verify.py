@@ -164,7 +164,11 @@ class VerificationReport:
         return {
             "summary": asdict(self.summary),
             "points": [
-                {f: _json_value(getattr(pt, f)) for f in POINT_FIELDS}
+                dict(zip(POINT_FIELDS, (
+                    str(pt.a), str(pt.b), str(pt.c), str(pt.n), str(pt.p),
+                    None if pt.closed is None else str(pt.closed), pt.closed_error,
+                    None if pt.oracle is None else str(pt.oracle), pt.case, pt.match,
+                )))
                 for pt in self.points
             ],
         }
@@ -177,10 +181,6 @@ class VerificationReport:
             values = ["" if v is None else str(v) for v in values]
             rows.append(values + [str(match).lower()])
         return rows
-
-
-def _json_value(v: int | str | bool | None) -> str | bool | None:
-    return v if v is None or isinstance(v, (bool, str)) else str(v)
 
 
 def _points(

@@ -617,3 +617,121 @@ class TestEntrypoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
         assert "Traceback" not in err
+
+
+# Values json.dumps encodes: big ints pass 64 bits, and floats include nan.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(10**40), 10**40) | st.floats() | st.text()
+)
+# Keys the "%" layout and the "\x00" token split must survive.
+JSON_KEYS = st.sampled_from(
+    ["%", "%s", "%(p)d", "100%%", "\x00", "a\x00b", "", "é", "g€p", "\U0001f600"]
+) | st.text()
+
+
+def _records(keys: list, values) -> st.SearchStrategy[dict]:
+    return st.tuples(*[values] * len(keys)).map(lambda vs: dict(zip(keys, vs)))
+
+
+def record_lists(values) -> st.SearchStrategy[list]:
+    """Lists of dicts over one key set, in one key order or in shuffled ones."""
+
+    def over(keys):
+        shuffled = st.permutations(keys).flatmap(lambda order: _records(order, values))
+        return st.lists(_records(keys, values), max_size=4) | st.lists(shuffled, max_size=4)
+
+    return st.lists(JSON_KEYS, unique=True, max_size=4).flatmap(over)
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(JSON_KEYS, children, max_size=4)
+        # keys json.dumps converts to strings
+        | st.dictionaries(st.integers() | st.none() | st.booleans(), children, max_size=3)
+        | record_lists(JSON_SCALARS)
+        | record_lists(children)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonEmitter:
+    @given(JSON_VALUES)
+    @example([{}, {}])
+    @example({"%s": "%s", "a\x00": ["\x00", "%"], "é": [{"p": 10**50}, {"p": None}]})
+    @example([{"a": "1", "b": True}, {"b": "2", "a": False}])
+    @example([{"a": "1"}, "a", [{"a": "1"}], {"a": ["1"]}])
+    @settings(max_examples=500, deadline=None)
+    def test_equals_json_dumps_indent_2(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    def test_a_value_json_cannot_encode_raises_as_json_dumps_does(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._dumps({"points": [{"p": object()}]})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3", "--p", "2"],
+            ["compute", "--a", "2", "--b", "3", "--c=-5", "--n", "2", "--vars", "4",
+             "--p", "1", "--quantity", "sylvester"],
+            ["apery", "--a", "5", "--b", "2", "--c", "19", "--n", "3", "--p", "1"],
+            ["apery", "--a", "5", "--b", "2", "--c", "19", "--n", "3", "--p", "1", "--grid"],
+            ["table", "--a", "2", "--b", "3", "--c=-5", "--n", "2", "--vars", "4",
+             "--p-max", "4"],
+            ["verify", "--c-range=-20..20", "--n-range", "1..2"],
+        ],
+        ids=["compute", "compute-quad", "apery", "apery-grid", "table", "verify"],
+    )
+    def test_reports_are_json_dumps_indent_2_without_its_fallback(
+        self, monkeypatch, argv
+    ):
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("the report took the json.dumps fallback")
+
+        monkeypatch.setattr(json, "dumps", no_fallback)
+        code, out, err = run_captured(argv + ["--format", "json"])
+        monkeypatch.undo()
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+DIGIT_LIMIT_ERROR = (
+    f"error: a value has more than {sys.get_int_max_str_digits()} digits, "
+    "Python's int-to-str limit\n"
+)
+
+
+class TestDigitLimit:
+    """Values past Python's int-to-str limit end in exit 3, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--n", "5000", "--p", "0", "--method", "closed"],
+            ["compute", "--n", "5000", "--p", "0", "--method", "closed",
+             "--format", "json"],
+            ["table", "--n", "5000", "--p-max", "0", "--format", "csv"],
+            ["table", "--n", "5000", "--p-max", "0", "--format", "json"],
+            # the generators fit the limit, g_0 does not
+            ["table", "--n", "2500", "--p-max", "0"],
+        ],
+        ids=["compute-text", "compute-json", "table-csv", "table-json", "table-text"],
+    )
+    def test_exits_3_with_one_error_line(self, argv):
+        code, out, err = run_captured(
+            [argv[0], "--a", "1", "--b", "10", "--c", "3", *argv[1:]]
+        )
+        assert (code, out, err) == (3, "", DIGIT_LIMIT_ERROR)
+
+    def test_other_value_errors_still_raise(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a digit limit")
+
+        monkeypatch.setattr(cli, "scan_p_range", broken)
+        with pytest.raises(ValueError, match="not a digit limit"):
+            main(["table", "--a", "2", "--b", "3", "--c=-5", "--n", "2", "--vars", "4",
+                  "--p-max", "1"])
