@@ -56,7 +56,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     m = _RANGE_RE.match(text)
     if not m:
         raise InvalidInputError(f"malformed range {text!r}, expected LO..HI")
-    return int(m.group(1)), int(m.group(2))
+    try:
+        return int(m.group(1)), int(m.group(2))
+    except ValueError:  # a bound past Python's str-to-int digit limit
+        raise InvalidInputError(
+            f"a range bound has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 #: Encodes a flat list of scalars with the C encoder. ensure_ascii escapes
@@ -107,17 +112,13 @@ def _dumps(obj) -> str:
     """`json.dumps(obj, indent=2)`, byte for byte, with one C-encoder call.
 
     The containers are walked into one "%" layout, every scalar is encoded
-    in one call to the C encoder, and one "%" fills the layout. obj must not
-    contain itself. A key that is not a str raises TypeError in the key
-    encoder, as a value the encoder cannot take does; json.dumps then
-    converts the key, or raises for the value.
+    in one call to the C encoder, and one "%" fills the layout. Every key
+    must be a str and obj must not contain itself; a key that is not a str
+    raises TypeError, as a value the encoder cannot take does.
     """
     scalars: list = []
-    try:
-        layout = _layout(obj, "\n", scalars)
-        tokens = _SCALARS.encode(scalars)[1:-1].split("\x00") if scalars else []
-    except TypeError:
-        return json.dumps(obj, indent=2)
+    layout = _layout(obj, "\n", scalars)
+    tokens = _SCALARS.encode(scalars)[1:-1].split("\x00") if scalars else []
     return layout % tuple(tokens)
 
 
@@ -419,7 +420,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     except ValueError as exc:
         # str() of an int past sys.get_int_max_str_digits() raises a plain
-        # ValueError; every supported Python words it with this phrase.
+        # ValueError; every supported Python words it with this phrase. Each
+        # parse of input text turns its own ValueError into InvalidInputError,
+        # so only printing a value gets here.
         if "integer string conversion" not in str(exc):
             raise
         print(

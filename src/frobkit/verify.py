@@ -8,6 +8,7 @@ two runs of the same spec produce byte-identical reports.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 from collections import Counter
@@ -107,6 +108,7 @@ class SweepSpec:
 POINT_FIELDS = (
     "a", "b", "c", "n", "p", "closed", "closed_error", "oracle", "case", "match"
 )
+_point_values = operator.attrgetter(*POINT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -164,11 +166,10 @@ class VerificationReport:
         return {
             "summary": asdict(self.summary),
             "points": [
-                dict(zip(POINT_FIELDS, (
-                    str(pt.a), str(pt.b), str(pt.c), str(pt.n), str(pt.p),
-                    None if pt.closed is None else str(pt.closed), pt.closed_error,
-                    None if pt.oracle is None else str(pt.oracle), pt.case, pt.match,
-                )))
+                # ints become decimal strings; str, bool and None stay
+                dict(zip(POINT_FIELDS, [
+                    str(v) if type(v) is int else v for v in _point_values(pt)
+                ]))
                 for pt in self.points
             ],
         }
@@ -177,7 +178,7 @@ class VerificationReport:
         """Header plus one row per point."""
         rows = [list(POINT_FIELDS)]
         for pt in self.points:
-            *values, match = (getattr(pt, f) for f in POINT_FIELDS)
+            *values, match = _point_values(pt)
             values = ["" if v is None else str(v) for v in values]
             rows.append(values + [str(match).lower()])
         return rows

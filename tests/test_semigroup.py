@@ -418,12 +418,23 @@ class TestResidueSumsContract:
     """The lists the engine returns, not only the rows read from them."""
 
     @given(
-        st.lists(st.integers(2, 40), min_size=2, max_size=6).filter(
+        st.lists(st.integers(2, 40), min_size=2, max_size=7).filter(
             lambda gs: math.gcd(*gs) == 1
         ),
         st.integers(0, 8),
         st.integers(1, 600),
     )
+    # Heap keys are s << sh | last with sh = (k - 1).bit_length() for the k
+    # generators past a1: k = 1 gives sh = mask = 0, k = 4 fills its 2-bit
+    # mask, and k = 3, 5, 6 leave mask values that no index takes.
+    @example([2, 3], 3, 20)
+    @example([7, 12], 0, 90)
+    @example([4, 5, 6, 7], 3, 90)
+    @example([5, 6, 7, 8, 9], 3, 20)
+    @example([5, 7, 9, 11, 13], 0, 90)
+    @example([6, 7, 8, 9, 10, 11], 3, 90)
+    @example([7, 8, 9, 10, 11, 12, 13], 0, 20)
+    @example([7, 10, 11, 13, 15, 17, 19], 3, 90)
     @settings(max_examples=300, deadline=None)
     def test_equals_the_brute_force(self, raw, p_max, cap):
         gens = GeneratorTuple(tuple(raw))
@@ -445,24 +456,6 @@ class TestResidueSumsContract:
     )
     def test_examples(self, gens, p_max, cap, want):
         assert semigroup._residue_sums(GeneratorTuple(gens), p_max, cap) == want
-
-    # A heap key is s << sh | last with sh = (k - 1).bit_length() for the k
-    # generators past a1: k = 1 gives sh = mask = 0, k = 4 fills its 2-bit
-    # mask, and k = 3, 5, 6 leave mask values that no index takes.
-    @pytest.mark.parametrize(
-        "gens",
-        [
-            (2, 3), (5, 7), (7, 12),
-            (4, 5, 6, 7),
-            (5, 6, 7, 8, 9), (5, 7, 9, 11, 13),
-            (6, 7, 8, 9, 10, 11), (7, 8, 9, 10, 11, 12, 13), (7, 10, 11, 13, 15, 17, 19),
-        ],
-    )
-    @pytest.mark.parametrize("p_max", [0, 3])
-    @pytest.mark.parametrize("cap", [20, 90])
-    def test_key_layout_edges_equal_the_brute_force(self, gens, p_max, cap):
-        got = semigroup._residue_sums(GeneratorTuple(gens), p_max, cap)
-        assert got == naive_residue_sums(gens, p_max, cap)
 
 
 class TestEngineIsTheSweepRoute:
