@@ -31,6 +31,7 @@ from .families import (
     grid_digits,
     make_quad,
     make_triple,
+    past_digit_limit,
 )
 from .semigroup import (
     GeneratorTuple,
@@ -130,9 +131,19 @@ def _emit_csv(rows: list[list[str]]) -> None:
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
+def _digit_limit_error() -> ResourceLimitError:
+    return ResourceLimitError(
+        f"a value has more than {sys.get_int_max_str_digits()} digits, "
+        "Python's int-to-str limit"
+    )
+
+
 def _make_family(args) -> ShiftedGeometricFamily:
+    abcn = args.a, args.b, args.c, args.n
+    if past_digit_limit(*abcn):  # its generators could not be printed anyway
+        raise _digit_limit_error()
     make = make_triple if args.vars == 3 else make_quad
-    return make(args.a, args.b, args.c, args.n)
+    return make(*abcn)
 
 
 def _decomposition_fields(params: ShiftedGeometricFamily) -> dict[str, str]:
@@ -425,11 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         # so only printing a value gets here.
         if "integer string conversion" not in str(exc):
             raise
-        print(
-            "error: a value has more than "
-            f"{sys.get_int_max_str_digits()} digits, Python's int-to-str limit",
-            file=sys.stderr,
-        )
+        print(f"error: {_digit_limit_error()}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

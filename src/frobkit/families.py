@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -45,11 +46,6 @@ class ShiftedGeometricFamily:
     def k(self) -> int:
         return len(self.gens.gens)
 
-    @property
-    def c0(self) -> int | None:
-        """Magnitude of a negative shift; None when c > 0."""
-        return -self.c if self.c < 0 else None
-
 
 def _family_gens(a: int, b: int, c: int, n: int, k: int) -> GeneratorTuple:
     if a < 1:
@@ -65,11 +61,23 @@ def _family_gens(a: int, b: int, c: int, n: int, k: int) -> GeneratorTuple:
         raise InvalidInputError(
             f"minimum generator a*b^n - c = {g1} must be >= 2"
         )
-    gens = tuple(a * b ** (n + i) - c for i in range(k))
-    g = math.gcd(*gens)
-    if g != 1:
-        raise GcdNotOneError(f"gcd{gens} = {g}, expected 1")
-    return GeneratorTuple(gens)
+    return GeneratorTuple(tuple(a * b ** (n + i) - c for i in range(k)))
+
+
+def past_digit_limit(a: int, b: int, c: int, n: int) -> bool:
+    """Whether a1 = a*b^n - c surely has more digits than Python's int-to-str limit.
+
+    Decided from bit lengths, without computing b^n; False without a limit
+    and for parameters the family constructors refuse.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or a < 1 or b < 2 or n < 1:
+        return False
+    bits = a.bit_length() - 1 + n * (b.bit_length() - 1)  # a*b^n >= 2^bits
+    if c > 0 and c.bit_length() >= bits:
+        return False
+    # a1 >= 2^(bits - 1) here, which is >= 10^limit once bits - 1 >= 3.322 * limit
+    return (bits - 1) * 1000 >= limit * 3322
 
 
 def make_triple(a: int, b: int, c: int, n: int) -> ShiftedGeometricFamily:

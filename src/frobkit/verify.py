@@ -8,13 +8,13 @@ two runs of the same spec produce byte-identical reports.
 
 from __future__ import annotations
 
-import operator
 import random
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
+from typing import NamedTuple
 
 from .errors import FrobkitError, InvalidInputError, ResourceLimitError
 from .families import (
@@ -26,6 +26,7 @@ from .families import (
     g_p_two_gens,
     make_quad,
     make_triple,
+    past_digit_limit,
     stated_p_max,
 )
 from .semigroup import GeneratorTuple, effective_table_cap, require_row, scan_p_range
@@ -46,7 +47,6 @@ class SweepSpec:
     p_policy: str | int = "theorem-range"
     sample_seed: int = 0
     sample_limit: int | None = None
-    min_gen_cap: int = DEFAULT_MIN_GEN_CAP
 
     def __post_init__(self) -> None:
         for name in ("a_range", "b_range", "c_range", "n_range"):
@@ -104,27 +104,17 @@ class SweepSpec:
         return out
 
 
-#: The columns of a report's points, in JSON and CSV alike.
-POINT_FIELDS = (
-    "a", "b", "c", "n", "p", "closed", "closed_error", "oracle", "case", "match"
-)
-_point_values = operator.attrgetter(*POINT_FIELDS)
-
-
-@dataclass(frozen=True)
-class PointResult:
-    """One closed-form-vs-oracle comparison."""
+class PointResult(NamedTuple):
+    """One closed-form-vs-oracle comparison, as a report row in column order."""
 
     a: int
     b: int
     c: int
     n: int
-    vars: int
     p: int
     closed: int | None
     closed_error: str | None
     oracle: int | None
-    oracle_error: str | None
     case: str | None
     match: bool
 
@@ -135,9 +125,13 @@ class PointResult:
             return "no_case"
         if self.closed_error == "OutOfValidityRange":
             return "out_of_range"
-        if self.oracle_error is not None:
+        if self.oracle is None:
             return "resource_limit"
         return "matched" if self.match else "mismatched"
+
+
+#: The columns of a report's points, in JSON and CSV alike.
+POINT_FIELDS = PointResult._fields
 
 
 @dataclass(frozen=True)
@@ -154,7 +148,6 @@ class SweepSummary:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    spec: SweepSpec
     points: tuple[PointResult, ...]
     summary: SweepSummary
 
@@ -167,9 +160,7 @@ class VerificationReport:
             "summary": asdict(self.summary),
             "points": [
                 # ints become decimal strings; str, bool and None stay
-                dict(zip(POINT_FIELDS, [
-                    str(v) if type(v) is int else v for v in _point_values(pt)
-                ]))
+                dict(zip(POINT_FIELDS, [str(v) if type(v) is int else v for v in pt]))
                 for pt in self.points
             ],
         }
@@ -178,7 +169,7 @@ class VerificationReport:
         """Header plus one row per point."""
         rows = [list(POINT_FIELDS)]
         for pt in self.points:
-            *values, match = _point_values(pt)
+            *values, match = pt
             values = ["" if v is None else str(v) for v in values]
             rows.append(values + [str(match).lower()])
         return rows
@@ -189,27 +180,13 @@ def _points(
 ) -> tuple[PointResult, ...]:
     """Closed form vs oracle at each p in p_values, from one oracle pass."""
     oracle = scan_p_range(params.gens, p_values[-1], table_cap=table_cap)
-    case = case_tag(params)
+    a, b, c, n, case = params.a, params.b, params.c, params.n, case_tag(params)
     points = []
     for p in p_values:
         closed, closed_error = closed_or_refusal(params, "frobenius", p)
-        g = oracle[p][0] if p < len(oracle) else None
-        points.append(
-            PointResult(
-                a=params.a,
-                b=params.b,
-                c=params.c,
-                n=params.n,
-                vars=params.k,
-                p=p,
-                closed=closed,
-                closed_error=closed_error,
-                oracle=g,
-                oracle_error="ResourceLimit" if g is None else None,
-                case=case,
-                match=closed is not None and closed == g,
-            )
-        )
+        g = oracle[p][0] if p < len(oracle) else None  # None past the table cap
+        match = closed is not None and closed == g
+        points.append(PointResult(a, b, c, n, p, closed, closed_error, g, case, match))
     return tuple(points)
 
 
@@ -232,12 +209,14 @@ def _evaluate_tuple(
     spec: SweepSpec, table_cap: int | None, abcn: tuple[int, int, int, int]
 ) -> tuple[PointResult, ...] | str:
     """One tuple's points from one oracle pass, or the field it is skipped under."""
+    if past_digit_limit(*abcn):
+        return "skipped_large"
     make = make_triple if spec.vars == 3 else make_quad
     try:
         params = make(*abcn)
     except FrobkitError:
         return "skipped_gcd"
-    if params.gens.a1 > spec.min_gen_cap:
+    if params.gens.a1 > DEFAULT_MIN_GEN_CAP:
         return "skipped_large"
     if spec.p_policy == "theorem-range":
         p_values = theorem_p_range(params)
@@ -254,7 +233,8 @@ def verify_grid(
 ) -> VerificationReport:
     """Sweep the spec's parameter grid and compare closed forms to the oracle.
 
-    Tuples with gcd != 1 or an oversized minimum generator are counted and
+    Tuples with gcd != 1, or with a minimum generator above
+    DEFAULT_MIN_GEN_CAP or past the int-to-str digit limit, are counted and
     skipped. Report ordering follows tuple enumeration order regardless of
     worker count.
     """
@@ -283,7 +263,7 @@ def verify_grid(
         total=sum(tally.values()),
         **{f.name: tally[f.name] for f in fields(SweepSummary) if f.name != "total"},
     )
-    return VerificationReport(spec=spec, points=points, summary=summary)
+    return VerificationReport(points=points, summary=summary)
 
 
 def discover_validity(

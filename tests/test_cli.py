@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -730,6 +731,28 @@ class TestDigitLimit:
             f"error: a range bound has more than {sys.get_int_max_str_digits()} "
             "digits\n"
         )
+
+    def test_an_unprintable_family_is_refused_before_it_is_built(self):
+        # building b^n for n = 10^20 would never finish, so run main with a deadline
+        big = str(10**20)
+        argv = ["compute", "--a", "2", "--b", big, f"--c=-{big}", "--n", big,
+                "--p", "0", "--method", "oracle"]
+        result = []
+        worker = threading.Thread(target=lambda: result.append(run_captured(argv)),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=2)
+        assert not worker.is_alive(), "main did not return within 2 s"
+        assert result == [(3, "", DIGIT_LIMIT_ERROR)]
+
+    def test_a_sweep_past_the_limit_counts_skipped_tuples(self):
+        # the gcd is small, but the generators of n >= 4298 have over 4300 digits
+        code, out, err = run_captured(
+            ["verify", "--a-range", "2..2", "--b-range", "10..10", "--c-range=-3..3",
+             "--n-range", "4296..4300"]
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("total=30 ")
 
     def test_other_value_errors_still_raise(self, monkeypatch):
         def broken(*args, **kwargs):

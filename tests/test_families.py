@@ -1,6 +1,7 @@
 """Closed forms for the three- and four-term shifted geometric families."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from frobkit import (
     verify_grid,
 )
 from frobkit.errors import FrobkitError
-from frobkit.families import CLOSED_ERROR_TAGS, case_tag, grid_digits
+from frobkit.families import CLOSED_ERROR_TAGS, case_tag, grid_digits, past_digit_limit
 
 
 def random_positive_triples(count, seed, a_max=4, b_max=4, n_max=2):
@@ -65,6 +66,11 @@ class TestMakeTriple:
         with pytest.raises(GcdNotOneError):
             make_triple(2, 2, 2, 1)  # (2, 6, 14)
 
+    def test_gcd_not_one_past_the_digit_limit(self):
+        # every generator has over 5000 digits; the message prints only the gcd
+        with pytest.raises(GcdNotOneError, match="^gcd of generators is 30, expected 1$"):
+            make_triple(2, 10, -10, 5000)
+
     def test_head_too_small(self):
         with pytest.raises(InvalidInputError):
             make_triple(1, 2, 7, 1)  # 2 - 7 < 2
@@ -79,9 +85,25 @@ class TestMakeTriple:
         with pytest.raises(InvalidInputError):
             make_triple(1, 2, 1, 0)
 
-    def test_c0_property(self):
-        assert make_triple(4, 3, -1, 1).c0 == 1
-        assert make_triple(5, 2, 19, 3).c0 is None
+
+class TestPastDigitLimit:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.integers(1, 10**6),
+        b=st.integers(2, 2**20),
+        c=st.integers(-(10**40), 10**40).filter(bool),
+        n=st.integers(1, 8000),
+    )
+    def test_is_a_lower_bound(self, a, b, c, n):
+        if past_digit_limit(a, b, c, n):
+            assert a * b**n - c >= 10 ** sys.get_int_max_str_digits()
+
+    def test_decides_without_building(self):
+        big = 10**20
+        assert past_digit_limit(2, big, -big, big)
+        assert past_digit_limit(1, 10, 3, 5000)
+        assert not past_digit_limit(1, 10, 3, 2500)  # 2500 digits print fine
+        assert not past_digit_limit(0, 10, 3, 5000)  # left to make_triple to refuse
 
 
 class TestQRDecompose:

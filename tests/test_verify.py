@@ -12,6 +12,7 @@ from frobkit import (
     FrobkitError,
     GeneratorTuple,
     InvalidInputError,
+    PointResult,
     ResourceLimitError,
     SweepSpec,
     discover_validity,
@@ -129,10 +130,18 @@ class TestVerifyGrid:
                 verify_grid(spec, workers=workers)
 
     def test_min_gen_cap_skips_large_tuples(self):
-        spec = SweepSpec((1, 1), (2, 2), (-3, -3), (9, 9), min_gen_cap=100)
-        report = verify_grid(spec)  # 2^9 + 3 = 515 > 100
+        spec = SweepSpec((1, 1), (2, 2), (-3, -3), (15, 15))
+        report = verify_grid(spec)  # gcd 1 and 2^15 + 3 = 32771 > 20000
+        assert verify.DEFAULT_MIN_GEN_CAP == 20000
         assert report.summary.skipped_large == 1
         assert report.summary.total == 1
+
+    def test_a1_past_the_digit_limit_is_skipped_unbuilt(self):
+        # 3^n - 1 has about 47,700 digits, and all three generators are even;
+        # the bit-length bound skips both tuples before any generator is built
+        spec = SweepSpec((1, 1), (3, 3), (1, 1), (100000, 100001))
+        report = verify_grid(spec)
+        assert report.summary.skipped_large == report.summary.total == 2
 
     def test_deterministic_reports(self):
         spec = SweepSpec((1, 2), (2, 3), (-6, 6), (1, 2))
@@ -209,6 +218,13 @@ class TestVerifyGrid:
         report = verify_grid(spec)
         assert report.summary.matched == 3  # p = 0, 1, 2
         assert report.summary.total == 3
+
+    def test_point_fields_are_the_report_columns(self):
+        report = verify_grid(SweepSpec((5, 5), (2, 2), (19, 19), (3, 3)))
+        json_keys = {tuple(pt) for pt in report.to_json_obj()["points"]}
+        assert PointResult._fields == verify.POINT_FIELDS
+        assert json_keys == {verify.POINT_FIELDS}
+        assert tuple(report.to_csv_rows()[0]) == verify.POINT_FIELDS
 
     def test_csv_rows_shape(self):
         spec = SweepSpec((5, 5), (2, 2), (19, 19), (3, 3))
