@@ -232,35 +232,38 @@ def cmd_apery(args) -> int:
         if params is None or params.k != 3:
             raise InvalidInputError("--grid requires the three-term family flags")
         grid_digits(params, args.p)  # refuses a grid request before the engine runs
-    table = apery_set(gens, args.p)
-    grid = apery_grid_triple(params, args.p) if args.grid else None
-    if grid is not None and grid.entries_by_residue() != table.entries:
-        print("grid/apery value mismatch", file=sys.stderr)
-        return EXIT_MISMATCH
+    entries = apery_set(gens, args.p)
+    positions = apery_grid_triple(params, args.p) if args.grid else None
+    if positions is not None:
+        _, a2, a3 = gens.gens
+        values = [x2 * a2 + x3 * a3 for x2, x3 in positions]
+        # Each entry is the only one of its residue class, so equal sorted
+        # lists mean every class holds the same value in both.
+        if sorted(values) != sorted(entries):
+            print("grid/apery value mismatch", file=sys.stderr)
+            return EXIT_MISMATCH
 
     if args.format == "json":
         obj = {
             "generators": [str(g) for g in gens],
             "p": str(args.p),
-            "entries": [str(e) for e in table.entries],
-            "max_entry": str(table.max_entry()),
+            "entries": [str(e) for e in entries],
+            "max_entry": str(max(entries)),
         }
-        if grid is not None:
-            obj["positions"] = [
-                [str(x2), str(x3)] for x2, x3 in sorted(grid.positions)
-            ]
-            obj["residue_unit"] = str(grid.residue_unit)
+        if positions is not None:
+            obj["positions"] = [[str(x2), str(x3)] for x2, x3 in positions]
+            obj["residue_unit"] = str(a2 % gens.a1)  # a2 = (b - 1)c mod a1
         _emit_json(obj)
     else:
         print("generators:", " ".join(str(g) for g in gens))
         print(f"p={args.p}  entries by residue mod {gens.a1}:")
-        for j, e in enumerate(table.entries):
+        for j, e in enumerate(entries):
             print(f"  {j}: {e}")
-        print(f"max entry: {table.max_entry()}")
-        if grid is not None:
-            print(f"positions ({len(grid.positions)}):")
-            for x2, x3 in sorted(grid.positions):
-                print(f"  ({x2}, {x3}) -> {grid.value_at((x2, x3))}")
+        print(f"max entry: {max(entries)}")
+        if positions is not None:
+            print(f"positions ({len(positions)}):")
+            for (x2, x3), v in zip(positions, values):
+                print(f"  ({x2}, {x3}) -> {v}")
             print("grid values match the generic Apery set")
     return EXIT_OK
 

@@ -172,9 +172,21 @@ def _max_position(
     d1, d2, ... are the digits of a1 from the unit digit up. For c > 0 the
     case is 1 when d1 >= 1 and 2 when d1 = 0; for c < 0 (triples only) it
     is closed_form_case's. p must lie in the stated range already.
+
+    Two quad rows are checked against the engine, not proved: at p = b - beta
+    with gamma >= 2 the maximum sits at (gamma - 2, 0, alpha + 1), and with
+    alpha = 0 no row holds past p = 0 (README, "Notes on validity ranges").
     """
     d = digits[::-1]
     b = fam.b
+    if fam.k == 4 and p:
+        gamma, beta, alpha = d
+        if not alpha:
+            raise OutOfValidityRangeError(
+                f"p={p} exceeds the checked alpha=0 range p <= 0"
+            )
+        if gamma >= 2 and p == b - beta:
+            return (gamma - 2, 0, alpha + 1)
     case = _case(fam, d[0]) if fam.c < 0 else (1 if d[0] else 2)
     if case == 1:
         return (d[0] - 1, d[1] + p, *d[2:])
@@ -237,41 +249,6 @@ def n_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
     return bracket // 2
 
 
-@dataclass(frozen=True)
-class AperyGridTriple:
-    """Structured Apery positions (x2, x3) for a three-term family, c > 0.
-
-    Position (x2, x3) carries the value x2*g2 + x3*g3; the values reduce to
-    a complete residue system mod the minimum generator.
-    """
-
-    triple: ShiftedGeometricFamily
-    p: int
-    positions: frozenset[tuple[int, int]]
-    residue_unit: int  # (b - 1) * c mod a1; the residue step per x2 unit
-
-    def value_at(self, pos: tuple[int, int]) -> int:
-        _, g2, g3 = self.triple.gens.gens
-        return pos[0] * g2 + pos[1] * g3
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(sorted(self.value_at(pos) for pos in self.positions))
-
-    def max_value(self) -> int:
-        return max(self.values())
-
-    def entries_by_residue(self) -> tuple[int, ...]:
-        """Values indexed by residue class mod a1 (AperyTable layout)."""
-        a1 = self.triple.gens.a1
-        entries: list[int | None] = [None] * a1
-        for pos in self.positions:
-            v = self.value_at(pos)
-            if entries[v % a1] is not None:
-                raise AssertionError(f"duplicate residue {v % a1} in grid")
-            entries[v % a1] = v
-        return tuple(entries)  # type: ignore[arg-type]
-
-
 def grid_digits(t: ShiftedGeometricFamily, p: int) -> tuple[int, ...]:
     """(q, r) of a triple, once its position grid exists: c > 0 and 0 <= p <= q."""
     check_p(p)
@@ -280,13 +257,15 @@ def grid_digits(t: ShiftedGeometricFamily, p: int) -> tuple[int, ...]:
     return _stated_digits(t, 3, p)
 
 
-def apery_grid_triple(t: ShiftedGeometricFamily, p: int) -> AperyGridTriple:
-    """Emit the Apery position set for c > 0 and 0 <= p <= q.
+def apery_grid_triple(t: ShiftedGeometricFamily, p: int) -> tuple[tuple[int, int], ...]:
+    """The sorted p-Apery positions (x2, x3) of a triple, for c > 0 and 0 <= p <= q.
 
-    Layout: a (b+1)-wide block of q-p full rows, a partial row of r entries,
-    then p staircase pairs of rows (widths b+1-r and r) shifting left as x3
-    grows. Cardinality is exactly the minimum generator. `grid_digits` makes
-    the refusals without building the grid.
+    Position (x2, x3) carries the value x2*a2 + x3*a3; the values are the
+    p-Apery set, one per residue class mod a1. Layout: a (b+1)-wide block of
+    q-p full rows, a partial row of r entries, then p staircase pairs of rows
+    (widths b+1-r and r) shifting left as x3 grows. Cardinality is exactly
+    the minimum generator. `grid_digits` makes the refusals without building
+    the grid.
     """
     q, r = grid_digits(t, p)
     w = t.b + 1
@@ -302,19 +281,15 @@ def apery_grid_triple(t: ShiftedGeometricFamily, p: int) -> AperyGridTriple:
     a1 = t.gens.a1
     if len(positions) != a1:
         raise AssertionError(f"grid has {len(positions)} positions, expected {a1}")
-    return AperyGridTriple(
-        triple=t,
-        p=p,
-        positions=frozenset(positions),
-        residue_unit=((t.b - 1) * t.c) % a1,
-    )
+    return tuple(sorted(positions))
 
 
 def g_p_closed_quad(qd: ShiftedGeometricFamily, p: int) -> int:
     """Closed-form p-Frobenius number of a four-term family, 0 <= p <= b - beta.
 
     Only positive shifts are covered; beyond b - beta the maximal-position
-    pattern breaks down and the oracle must be used.
+    pattern breaks down and the oracle must be used. With alpha = 0 it
+    refuses every p >= 1.
     """
     check_p(p)
     if qd.c < 0:

@@ -131,22 +131,10 @@ def _raw_counts(gens: tuple[int, ...], bound: int) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class DenumerantTable:
-    """Representation counts d(m) for 0 <= m <= bound."""
-
-    gens: GeneratorTuple
-    bound: int
-    counts: tuple[int, ...]
-
-    def __getitem__(self, m: int) -> int:
-        return self.counts[m]
-
-
 def denumerant_table(
     gens: GeneratorTuple | Iterable[int], bound: int, *, table_cap: int | None = None
-) -> DenumerantTable:
-    """Build the full count table in O(len(gens) * bound) additions."""
+) -> tuple[int, ...]:
+    """Counts d(m), indexed by m <= bound, in O(len(gens) * bound) additions."""
     gt = as_generators(gens)
     if bound < 0:
         raise InvalidInputError(f"bound must be >= 0, got {bound}")
@@ -155,7 +143,7 @@ def denumerant_table(
         raise ResourceLimitError(
             f"denumerant table needs {bound + 1} entries, cap is {cap}"
         )
-    return DenumerantTable(gt, bound, tuple(_raw_counts(gt.gens, bound)))
+    return tuple(_raw_counts(gt.gens, bound))
 
 
 def denumerant(
@@ -164,23 +152,7 @@ def denumerant(
     """Number of representations of m as a nonnegative combination of gens."""
     if m < 0:
         raise InvalidInputError(f"m must be >= 0, got {m}")
-    return denumerant_table(gens, m, table_cap=table_cap).counts[m]
-
-
-@dataclass(frozen=True)
-class AperyTable:
-    """Least elements per residue class mod a1 with count >= p + 1.
-
-    entries[j] is the least nonnegative integer congruent to j mod a1 having
-    at least p + 1 representations; entries[0] is 0 exactly when p = 0.
-    """
-
-    gens: GeneratorTuple
-    p: int
-    entries: tuple[int, ...]
-
-    def max_entry(self) -> int:
-        return max(self.entries)
+    return denumerant_table(gens, m, table_cap=table_cap)[m]
 
 
 def check_p(p: int) -> None:
@@ -261,16 +233,16 @@ def _residue_sums(
     return found
 
 
-def _read_apery(table: AperyTable) -> tuple[int, int]:
-    """(g_p, n_p) from the p-Apery set: max - a1 and sum/a1 - (a1-1)/2, exactly."""
-    a1 = table.gens.a1
-    n_p, rest = divmod(2 * sum(table.entries) - a1 * (a1 - 1), 2 * a1)
+def _read_apery(gt: GeneratorTuple, entries: tuple[int, ...]) -> tuple[int, int]:
+    """(g_p, n_p) from a p-Apery set: max - a1 and sum/a1 - (a1-1)/2, exactly."""
+    a1 = gt.a1
+    n_p, rest = divmod(2 * sum(entries) - a1 * (a1 - 1), 2 * a1)
     if rest:
         raise AssertionError(
-            f"Apery-route p-Sylvester value is non-integral for {table.gens.gens}, "
-            f"p={table.p}; the Apery table is corrupt"
+            f"Apery-route p-Sylvester value is non-integral for {gt.gens}; "
+            "the Apery set is corrupt"
         )
-    return table.max_entry() - a1, n_p
+    return max(entries) - a1, n_p
 
 
 def scan_p_range(
@@ -278,16 +250,15 @@ def scan_p_range(
 ) -> list[tuple[int, int]]:
     """(g_p, n_p) for p = 0, 1, ..., from one residue-class pass.
 
-    Row p is `_read_apery` of that p's Apery set. The rows stop at p_max or
-    before the first p the table cap stops (g_p + a1 >= cap), whichever comes
-    first; g_p never decreases as p grows. `require_row` reads them.
+    Row p is `_read_apery` of that p's Apery set, which is column p of the
+    engine's per-class lists. The rows stop at p_max or before the first p
+    the table cap stops (g_p + a1 >= cap), whichever comes first; g_p never
+    decreases as p grows. `require_row` reads them.
     """
     gt = as_generators(gens)
     check_p(p_max)
-    return [
-        _read_apery(AperyTable(gt, p, column))
-        for p, column in enumerate(zip(*_residue_sums(gt, p_max, table_cap)))
-    ]
+    columns = zip(*_residue_sums(gt, p_max, table_cap))
+    return [_read_apery(gt, column) for column in columns]
 
 
 def require_row(
@@ -307,8 +278,12 @@ def cap_error(p: int, table_cap: int | None = None) -> ResourceLimitError:
 
 def apery_set(
     gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
-) -> AperyTable:
-    """Compute the order-p Apery table from one residue-class pass."""
+) -> tuple[int, ...]:
+    """The order-p Apery set, indexed by residue mod a1, from one residue-class pass.
+
+    Entry j is the least m = j mod a1 with d(m) >= p + 1; entry 0 is 0
+    exactly when p = 0.
+    """
     gt = as_generators(gens)
     check_p(p)
     lists = _residue_sums(gt, p, table_cap)
@@ -318,14 +293,15 @@ def apery_set(
             f"Apery scan for p={p} exceeded table cap {effective_table_cap(table_cap)} "
             f"({filled}/{gt.a1} residue classes filled)"
         )
-    return AperyTable(gt, p, tuple(bucket[p] for bucket in lists))
+    return tuple(bucket[p] for bucket in lists)
 
 
 def p_frobenius_via_apery(
     gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
 ) -> int:
     """p-Frobenius number as (max Apery element) - a1."""
-    return _read_apery(apery_set(gens, p, table_cap=table_cap))[0]
+    gt = as_generators(gens)
+    return _read_apery(gt, apery_set(gt, p, table_cap=table_cap))[0]
 
 
 def _scan_low_counts(
@@ -366,8 +342,9 @@ def p_frobenius_scan(
 def p_sylvester_via_apery(
     gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
 ) -> int:
-    """p-Sylvester number from the Apery table: sum/a1 - (a1-1)/2, exactly."""
-    return _read_apery(apery_set(gens, p, table_cap=table_cap))[1]
+    """p-Sylvester number from the Apery set: sum/a1 - (a1-1)/2, exactly."""
+    gt = as_generators(gens)
+    return _read_apery(gt, apery_set(gt, p, table_cap=table_cap))[1]
 
 
 def p_sylvester_count(

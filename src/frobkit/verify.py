@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import NamedTuple
@@ -250,6 +249,9 @@ def verify_grid(
     tuples = spec.tuples()
     evaluate = partial(_evaluate_tuple, spec, table_cap)
     if workers > 1 and tuples:
+        # Imported here, so that `import frobkit` does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tuples) // (workers * 4))
             results = list(pool.map(evaluate, tuples, chunksize=chunk))

@@ -150,16 +150,17 @@ def test_criterion_5_sweep_agreement():
 def test_criterion_6_apery_property_suite(corpus):
     for t, p in corpus:
         a1 = t.gens.a1
-        table = apery_set(t.gens, p)
-        assert sorted(e % a1 for e in table.entries) == list(range(a1))
-        grid = apery_grid_triple(t, p)
-        assert grid.entries_by_residue() == table.entries
-        counts = denumerant_table(t.gens, max(table.entries)).counts
-        for e in table.entries:
+        entries = apery_set(t.gens, p)
+        assert sorted(e % a1 for e in entries) == list(range(a1))
+        _, a2, a3 = t.gens.gens
+        values = [x2 * a2 + x3 * a3 for x2, x3 in apery_grid_triple(t, p)]
+        assert sorted(values) == sorted(entries)
+        counts = denumerant_table(t.gens, max(entries))
+        for e in entries:
             assert counts[e] >= p + 1
             if e >= a1:
                 assert counts[e - a1] <= p
-        for v in grid.values():
+        for v in values:
             assert counts[v] == p + 1
     _passed(6, f"residue coverage, least elements, grid equality, exact counts on {len(corpus)} triples")
 

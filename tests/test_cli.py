@@ -294,6 +294,20 @@ class TestApery:
         code, out, err = run_cli(capsys, "apery", *argv, "--grid")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_wrong_grid_exits_1_with_one_error_line(self, monkeypatch, fmt):
+        # The last position repeats the first, so one residue class is missed.
+        def wrong_grid(t, p):
+            grid = families.apery_grid_triple(t, p)
+            return grid[:-1] + grid[:1]
+
+        monkeypatch.setattr(cli, "apery_grid_triple", wrong_grid)
+        code, out, err = run_captured(
+            ["apery", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
+             "--p", "1", "--grid", "--format", fmt]
+        )
+        assert (code, out, err) == (1, "", "grid/apery value mismatch\n")
+
     def test_valid_grid_past_cap_exits_3_before_building_the_grid(self, capsys, monkeypatch):
         # a1 = 1999999 >= cap: the Apery set stops at once, and the grid of a1
         # positions is never built.
@@ -618,6 +632,17 @@ class TestEntrypoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
         assert "Traceback" not in err
+
+    def test_import_loads_no_process_pool(self):
+        # Only a sweep with workers > 1 imports the pool, and multiprocessing
+        # with it; every other command runs without them.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = "import sys, frobkit.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 # Values json.dumps encodes: big ints pass 64 bits, and floats include nan.

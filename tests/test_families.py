@@ -55,6 +55,12 @@ def random_positive_triples(count, seed, a_max=4, b_max=4, n_max=2):
     return out
 
 
+def grid_values(t, p):
+    """The value x2*a2 + x3*a3 of each position of the triple's p-Apery grid."""
+    _, a2, a3 = t.gens.gens
+    return [x2 * a2 + x3 * a3 for x2, x3 in apery_grid_triple(t, p)]
+
+
 class TestMakeTriple:
     def test_golden_positive(self):
         assert make_triple(5, 2, 19, 3).gens.gens == (21, 61, 141)
@@ -274,15 +280,23 @@ class TestRefusalsWhereWrong:
         with pytest.raises(OutOfValidityRangeError, match=f"case-{case} range"):
             g_p_closed_triple(t, last + 1)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the four-term form for c > 0 is wrong at some p >= 1 when "
-        "gamma >= 1; its gate waits for a rule that keeps the correct tuples",
-    )
-    @pytest.mark.parametrize("abcn", [(2, 2, 3, 2), (34, 2, 5, 2)])
-    def test_quad_gamma_nonzero_at_p1(self, abcn):
-        qd = make_quad(*abcn)
-        assert g_p_closed_quad(qd, 1) == scan_p_range(qd.gens, 1)[1][0]
+    def test_quad_gamma_nonzero_at_p1(self):
+        # alpha = 18, beta = 1, gamma = 2: at p = b - beta the maximum sits
+        # at (gamma - 2, 0, alpha + 1), so g_1 = 19*1083 - 131
+        qd = make_quad(34, 2, 5, 2)
+        assert digit_decompose(qd) == (18, 1, 2)
+        assert g_p_closed_quad(qd, 1) == scan_p_range(qd.gens, 1)[1][0] == 20446
+        # alpha = 0: no four-term row holds past p = 0
+        qd = make_quad(2, 2, 3, 2)
+        assert digit_decompose(qd)[0] == 0
+        with pytest.raises(OutOfValidityRangeError, match="alpha=0"):
+            g_p_closed_quad(qd, 1)
+
+    def test_quad_sweep_has_no_mismatch(self):
+        report = verify_grid(SweepSpec((1, 5), (2, 5), (1, 40), (1, 3), vars=4))
+        assert report.summary.mismatched == 0
+        assert report.summary.matched > 0
+        assert report.summary.out_of_range > 0
 
 
 class TestSylvesterClosed:
@@ -311,21 +325,21 @@ class TestSylvesterClosed:
 class TestAperyGrid:
     def test_golden_block(self):
         grid = apery_grid_triple(make_triple(5, 2, 19, 3), 0)
-        assert grid.positions == frozenset(
-            (x2, x3) for x2 in range(3) for x3 in range(7)
-        )
+        assert grid == tuple((x2, x3) for x2 in range(3) for x3 in range(7))
 
     def test_partial_row_and_max_position(self):
         t = make_triple(3, 2, 1, 2)  # gens (11, 23, 47), q=3, r=2
         grid = apery_grid_triple(t, 0)
         expected = {(x2, x3) for x2 in range(3) for x3 in range(3)}
         expected |= {(0, 3), (1, 3)}
-        assert grid.positions == frozenset(expected)
-        assert grid.max_value() == grid.value_at((1, 3))
+        assert grid == tuple(sorted(expected))
+        assert max(grid_values(t, 0)) == 1 * 23 + 3 * 47
 
     def test_residue_unit(self):
-        grid = apery_grid_triple(make_triple(5, 2, 19, 3), 0)
-        assert grid.residue_unit == 19 % 21
+        # `apery --grid` prints a2 mod a1 as the residue step per x2 unit
+        t = make_triple(5, 2, 19, 3)
+        a1, a2, _ = t.gens.gens
+        assert a2 % a1 == (t.b - 1) * t.c % a1 == 19 % 21
 
     def test_rejects_negative_shift_and_large_p(self):
         with pytest.raises(InvalidInputError):
@@ -355,21 +369,20 @@ class TestAperyGrid:
 
     def test_residues_are_a_permutation(self):
         for t, p in random_positive_triples(25, seed=505):
-            grid = apery_grid_triple(t, p)
             a1 = t.gens.a1
-            assert sorted(v % a1 for v in grid.values()) == list(range(a1))
+            assert sorted(v % a1 for v in grid_values(t, p)) == list(range(a1))
 
     def test_grid_values_equal_generic_apery_set(self):
         for t, p in random_positive_triples(25, seed=606):
-            grid = apery_grid_triple(t, p)
-            assert grid.entries_by_residue() == apery_set(t.gens, p).entries
+            by_residue = sorted(grid_values(t, p), key=lambda v: v % t.gens.a1)
+            assert tuple(by_residue) == apery_set(t.gens, p)
 
     def test_grid_values_have_exact_count(self):
         for t, p in random_positive_triples(15, seed=707):
-            grid = apery_grid_triple(t, p)
-            counts = denumerant_table(t.gens, grid.max_value()).counts
+            values = grid_values(t, p)
+            counts = denumerant_table(t.gens, max(values))
             a1 = t.gens.a1
-            for v in grid.values():
+            for v in values:
                 assert counts[v] == p + 1
                 if v >= a1:
                     assert counts[v - a1] == p
@@ -441,11 +454,11 @@ class TestClosedQuad:
 
     def test_known_early_breakdown(self):
         # the four-term pattern can break before b - beta: (5, 11, 23, 47)
-        # agrees with the oracle only at p = 0; the sweep harness exists to
-        # find exactly this kind of point
+        # has alpha = 0, where the form holds only at p = 0, so p = 1 refuses
         qd = make_quad(3, 2, 1, 1)
         assert g_p_closed_quad(qd, 0) == p_frobenius_scan(qd.gens, 0)
-        assert g_p_closed_quad(qd, 1) == 52
+        with pytest.raises(OutOfValidityRangeError):
+            g_p_closed_quad(qd, 1)
         assert p_frobenius_scan(qd.gens, 1) == 42
 
     def test_strictly_increasing_in_p(self):

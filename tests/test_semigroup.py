@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobkit import (
-    AperyTable,
     FrobkitError,
     GcdNotOneError,
     GeneratorTuple,
@@ -115,16 +114,16 @@ class TestDenumerant:
 class TestDenumerantTable:
     def test_two_three_bound_seven(self):
         table = denumerant_table((2, 3), 7)
-        assert list(table.counts) == [1, 0, 1, 1, 1, 1, 2, 1]
-        assert list(table.counts) == naive_counts((2, 3), 7)
+        assert table == (1, 0, 1, 1, 1, 1, 2, 1)
+        assert list(table) == naive_counts((2, 3), 7)
 
     def test_all_small_m_nonrepresentable(self):
         table = denumerant_table((21, 61, 141), 20)
-        assert table.counts[0] == 1
-        assert all(c == 0 for c in table.counts[1:])
+        assert table[0] == 1
+        assert all(c == 0 for c in table[1:])
 
     def test_bound_zero(self):
-        assert denumerant_table((2, 3), 0).counts == (1,)
+        assert denumerant_table((2, 3), 0) == (1,)
 
     def test_cap_breach(self):
         with pytest.raises(ResourceLimitError):
@@ -135,7 +134,7 @@ class TestDenumerantTable:
     def test_matches_naive_enumeration(self, gt):
         bound = 2 * gt.gens[-1]
         table = denumerant_table(gt, bound)
-        assert list(table.counts) == naive_counts(gt.gens, bound)
+        assert list(table) == naive_counts(gt.gens, bound)
 
 
 class TestTableCap:
@@ -152,13 +151,13 @@ class TestTableCap:
 
 class TestAperySet:
     def test_two_three_p0(self):
-        assert apery_set((2, 3), 0).entries == (0, 3)
+        assert apery_set((2, 3), 0) == (0, 3)
 
     def test_two_three_p1(self):
-        assert apery_set((2, 3), 1).entries == (6, 9)
+        assert apery_set((2, 3), 1) == (6, 9)
 
     def test_golden_triple_max_entry(self):
-        assert apery_set((21, 61, 141), 0).max_entry() == 968
+        assert max(apery_set((21, 61, 141), 0)) == 968
 
     def test_cap_breach(self):
         with pytest.raises(ResourceLimitError):
@@ -167,13 +166,13 @@ class TestAperySet:
     @given(small_generator_tuples(), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_residue_coverage_and_least_element(self, gt, p):
-        table = apery_set(gt, p)
+        entries = apery_set(gt, p)
         a1 = gt.a1
-        assert sorted(e % a1 for e in table.entries) == list(range(a1))
-        assert all(table.entries[j] % a1 == j for j in range(a1))
-        bound = max(table.entries)
-        counts = denumerant_table(gt, bound).counts
-        for e in table.entries:
+        assert sorted(e % a1 for e in entries) == list(range(a1))
+        assert all(entries[j] % a1 == j for j in range(a1))
+        bound = max(entries)
+        counts = denumerant_table(gt, bound)
+        for e in entries:
             assert counts[e] >= p + 1
             if e >= a1:
                 assert counts[e - a1] <= p
@@ -240,7 +239,7 @@ class TestScanTermination:
     def test_window_soundness(self, gt, p):
         # every value beyond the scan's answer has more than p representations
         g = p_frobenius_scan(gt, p)
-        counts = denumerant_table(gt, g + 3 * gt.a1).counts
+        counts = denumerant_table(gt, g + 3 * gt.a1)
         assert counts[g] <= p
         assert all(c >= p + 1 for c in counts[g + 1 :])
 
@@ -376,7 +375,7 @@ def dp_apery_reference(gens, p, table_cap):
     a1 = gens[0]
     bound = min(cap - 1, p_frobenius_scan(gens, p) + a1)  # the largest entry
     entries: dict[int, int] = {}
-    for m, cnt in enumerate(denumerant_table(gens, bound, table_cap=table_cap).counts):
+    for m, cnt in enumerate(denumerant_table(gens, bound, table_cap=table_cap)):
         if cnt > p:
             entries.setdefault(m % a1, m)
     if len(entries) < a1:
@@ -410,7 +409,6 @@ class TestResidueEngineCrossRoute:
                 )
                 assert outcome(scan, raw, p, table_cap=table_cap) == want
             got = outcome(apery_set, raw, p, table_cap=table_cap)
-            got = got.entries if isinstance(got, AperyTable) else got
             assert got == dp_apery_reference(gens, p, table_cap)
 
 
