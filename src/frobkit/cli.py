@@ -27,7 +27,6 @@ from .families import (
     apery_grid_triple,
     case_tag,
     closed_or_refusal,
-    digit_decompose,
     grid_digits,
     make_quad,
     make_triple,
@@ -148,7 +147,7 @@ def _make_family(args) -> ShiftedGeometricFamily:
 
 def _decomposition_fields(params: ShiftedGeometricFamily) -> dict[str, str]:
     names = ("q", "r") if params.k == 3 else ("alpha", "beta", "gamma")
-    return dict(zip(names, map(str, digit_decompose(params))))
+    return dict(zip(names, map(str, params.digits)))
 
 
 def cmd_compute(args) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     GcdNotOneError,
@@ -32,22 +32,31 @@ from .errors import (
 from .semigroup import GeneratorTuple, check_p
 
 
-@dataclass(frozen=True)
-class ShiftedGeometricFamily:
-    """Parameters (a, b, c, n) plus the derived k-term generator tuple (k = 3 or 4)."""
+class ShiftedGeometricFamily(NamedTuple):
+    """Parameters (a, b, c, n), the k-term generator tuple (k = 3 or 4) and
+    what the closed forms read from them, worked out once at construction.
+
+    `digits` is digit_decompose's value, `stated_p_max` the top of the p
+    range the paper states (q for triples, b - beta for quads) and `case`
+    closed_form_case's value for a triple with c < 0, else None.
+    """
 
     a: int
     b: int
     c: int
     n: int
     gens: GeneratorTuple
+    digits: tuple[int, ...]
+    stated_p_max: int
+    case: int | None
 
     @property
     def k(self) -> int:
         return len(self.gens.gens)
 
 
-def _family_gens(a: int, b: int, c: int, n: int, k: int) -> GeneratorTuple:
+def _family(a: int, b: int, c: int, n: int, k: int) -> ShiftedGeometricFamily:
+    """The validated k-term family, its digits, stated range and case."""
     if a < 1:
         raise InvalidInputError(f"a must be >= 1, got {a}")
     if b < 2:
@@ -56,12 +65,27 @@ def _family_gens(a: int, b: int, c: int, n: int, k: int) -> GeneratorTuple:
         raise InvalidInputError("c must be nonzero")
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    g1 = a * b**n - c
-    if g1 < 2:
+    head = a * b**n
+    a1 = head - c
+    if a1 < 2:
         raise InvalidInputError(
-            f"minimum generator a*b^n - c = {g1} must be >= 2"
+            f"minimum generator a*b^n - c = {a1} must be >= 2"
         )
-    return GeneratorTuple(tuple(a * b ** (n + i) - c for i in range(k)))
+    terms = [a1]
+    for _ in range(k - 1):
+        head *= b
+        terms.append(head - c)
+    gens = GeneratorTuple(terms)
+    # The mixed-radix weights are w_1 = 1, w_2 = b + 1 and w_3 = b^2 + b + 1.
+    if k == 3:
+        digits = q, r = divmod(a1, b + 1)
+        case = _case(a, b, c, n, terms[1] + c, r) if c < 0 else None
+        return ShiftedGeometricFamily(a, b, c, n, gens, digits, q, case)
+    alpha, rest = divmod(a1, b * b + b + 1)
+    beta, gamma = divmod(rest, b + 1)
+    return ShiftedGeometricFamily(
+        a, b, c, n, gens, (alpha, beta, gamma), b - beta, None
+    )
 
 
 def past_digit_limit(a: int, b: int, c: int, n: int) -> bool:
@@ -82,12 +106,12 @@ def past_digit_limit(a: int, b: int, c: int, n: int) -> bool:
 
 def make_triple(a: int, b: int, c: int, n: int) -> ShiftedGeometricFamily:
     """Validated three-term family constructor."""
-    return ShiftedGeometricFamily(a, b, c, n, _family_gens(a, b, c, n, 3))
+    return _family(a, b, c, n, 3)
 
 
 def make_quad(a: int, b: int, c: int, n: int) -> ShiftedGeometricFamily:
     """Validated four-term family constructor."""
-    return ShiftedGeometricFamily(a, b, c, n, _family_gens(a, b, c, n, 4))
+    return _family(a, b, c, n, 4)
 
 
 def digit_decompose(fam: ShiftedGeometricFamily) -> tuple[int, ...]:
@@ -96,40 +120,27 @@ def digit_decompose(fam: ShiftedGeometricFamily) -> tuple[int, ...]:
     a1 = d_{k-1}*w_{k-1} + ... + d_1*w_1, each digit but the top one below
     w_{j+1}/w_j: (q, r) for triples and (alpha, beta, gamma) for quads.
     """
-    b, rest, digits = fam.b, fam.gens.a1, []
-    weight = (b ** (fam.k - 1) - 1) // (b - 1)
-    while weight:  # w_j = b * w_(j-1) + 1, so w_j // b = w_(j-1), and 1 // b = 0
-        digit, rest = divmod(rest, weight)
-        digits.append(digit)
-        weight //= b
-    return tuple(digits)
-
-
-def stated_p_max(fam: ShiftedGeometricFamily, digits: tuple[int, ...]) -> int:
-    """Top of the p range the paper states, from digits = digit_decompose(fam).
-
-    It is q for triples and b - beta for quads.
-    """
-    return digits[0] if fam.k == 3 else fam.b - digits[1]
+    return fam.digits
 
 
 def _stated_digits(fam: ShiftedGeometricFamily, k: int, p: int) -> tuple[int, ...]:
-    """digit_decompose(fam), once fam has k terms and p lies in its stated range."""
+    """fam.digits, once fam has k terms and p lies in its stated range."""
     if fam.k != k:
         raise InvalidInputError(f"expected a {k}-term family, got {fam.k} terms")
-    digits = digit_decompose(fam)
-    top = stated_p_max(fam, digits)
-    if p > top:
+    if p > fam.stated_p_max:
         name = "q" if k == 3 else "b-beta"
-        raise OutOfValidityRangeError(f"p={p} exceeds validity bound {name}={top}")
-    return digits
+        raise OutOfValidityRangeError(
+            f"p={p} exceeds validity bound {name}={fam.stated_p_max}"
+        )
+    return fam.digits
 
 
-def _case(t: ShiftedGeometricFamily, r: int) -> int | None:
+def _case(a: int, b: int, c: int, n: int, growth: int, r: int) -> int | None:
+    """closed_form_case of the triple (a, b, c, n), c < 0, from growth = a*b^(n+1)."""
     # c0 > 0 and growth > 0, so multiplying max{b-r, r-1} through is exact.
-    growth, c0 = t.a * t.b ** (t.n + 1), -t.c
-    r_excess_growth, b_gap_growth = (r - 1) * growth, (t.b - r) * growth
-    r_excess_shift, b_gap_shift = (r - 1) * c0, (t.b - r) * c0
+    c0 = -c
+    r_excess_growth, b_gap_growth = (r - 1) * growth, (b - r) * growth
+    r_excess_shift, b_gap_shift = (r - 1) * c0, (b - r) * c0
     hits = [
         r_excess_growth >= max(b_gap_shift, r_excess_shift),
         b_gap_growth >= b_gap_shift > r_excess_growth,
@@ -138,7 +149,8 @@ def _case(t: ShiftedGeometricFamily, r: int) -> int | None:
     ]
     if sum(hits) > 1:
         raise AssertionError(
-            f"case conditions are not mutually exclusive for {t}: {hits}"
+            f"case conditions are not mutually exclusive for "
+            f"(a,b,c,n)=({a},{b},{c},{n}): {hits}"
         )
     return hits.index(True) + 1 if any(hits) else None
 
@@ -155,7 +167,7 @@ def closed_form_case(t: ShiftedGeometricFamily) -> int | None:
         raise InvalidInputError("case selection is defined only for c < 0")
     if t.k != 3:
         raise InvalidInputError(f"expected a 3-term family, got {t.k} terms")
-    return _case(t, digit_decompose(t)[1])
+    return t.case
 
 
 #: The largest p at which triple cases 3 and 4 have been checked against the
@@ -187,7 +199,7 @@ def _max_position(
             )
         if gamma >= 2 and p == b - beta:
             return (gamma - 2, 0, alpha + 1)
-    case = _case(fam, d[0]) if fam.c < 0 else (1 if d[0] else 2)
+    case = fam.case if fam.c < 0 else (1 if d[0] else 2)
     if case == 1:
         return (d[0] - 1, d[1] + p, *d[2:])
     if fam.k == 4:  # gamma = 0
@@ -333,8 +345,7 @@ def closed_or_refusal(
 def case_tag(fam: ShiftedGeometricFamily) -> str | None:
     """The negative-shift branch of a triple as reports print it; else None."""
     if fam.k == 3 and fam.c < 0:
-        cid = closed_form_case(fam)
-        return "NoCaseApplies" if cid is None else str(cid)
+        return "NoCaseApplies" if fam.case is None else str(fam.case)
     return None
 
 

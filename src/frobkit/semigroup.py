@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import GcdNotOneError, InvalidInputError, ResourceLimitError
@@ -64,17 +63,18 @@ def gcd_of(values: Iterable[int]) -> int:
     return math.gcd(*vals)
 
 
-@dataclass(frozen=True)
 class GeneratorTuple:
     """Sorted, duplicate-free generators with gcd 1 and minimum >= 2.
 
-    Immutable once constructed; safe to share across threads.
+    Immutable once constructed; safe to share across threads. Equal, hashed
+    and printed by its `gens`.
     """
 
+    __slots__ = ("gens",)
     gens: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        gens = tuple(sorted({int(g) for g in self.gens}))
+    def __init__(self, gens: Iterable[int]) -> None:
+        gens = tuple(sorted(set(map(int, gens))))
         if not gens:
             raise InvalidInputError("at least one generator required")
         if gens[0] < 2:
@@ -83,6 +83,27 @@ class GeneratorTuple:
         if g != 1:
             raise GcdNotOneError(f"gcd of generators is {g}, expected 1")
         object.__setattr__(self, "gens", gens)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # __setattr__ refuses, so pickle and copy rebuild through __init__.
+        return type(self), (self.gens,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.gens == other.gens
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gens,))
+
+    def __repr__(self) -> str:
+        return f"GeneratorTuple(gens={self.gens!r})"
 
     @property
     def a1(self) -> int:

@@ -21,12 +21,10 @@ from .families import (
     case_tag,
     closed_or_refusal,
     closed_value,
-    digit_decompose,
     g_p_two_gens,
     make_quad,
     make_triple,
     past_digit_limit,
-    stated_p_max,
 )
 from .semigroup import GeneratorTuple, effective_table_cap, require_row, scan_p_range
 
@@ -201,7 +199,7 @@ def verify_point(
 
 def theorem_p_range(params: ShiftedGeometricFamily) -> range:
     """The p values the closed form is stated for: 0..q or 0..b-beta."""
-    return range(stated_p_max(params, digit_decompose(params)) + 1)
+    return range(params.stated_p_max + 1)
 
 
 def _evaluate_tuple(

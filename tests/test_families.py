@@ -1,7 +1,10 @@
 """Closed forms for the three- and four-term shifted geometric families."""
 
+import copy
+import pickle
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from frobkit import (
     InvalidInputError,
     NoClosedFormCaseError,
     OutOfValidityRangeError,
+    ShiftedGeometricFamily,
     SweepSpec,
     UnsupportedCaseError,
     apery_grid_triple,
@@ -90,6 +94,102 @@ class TestMakeTriple:
             make_triple(1, 2, 0, 1)
         with pytest.raises(InvalidInputError):
             make_triple(1, 2, 1, 0)
+
+
+class TestFamilyValue:
+    """A family is a tuple built once, carrying what the closed forms read."""
+
+    @given(
+        st.integers(1, 50),
+        st.integers(2, 12),
+        st.integers(-(10**4), 10**4).filter(bool),
+        st.integers(1, 5),
+        st.sampled_from([3, 4]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fields_match_their_definitions(self, a, b, c, n, k):
+        try:
+            fam = (make_triple if k == 3 else make_quad)(a, b, c, n)
+        except FrobkitError:
+            return
+        assert fam.k == k and (fam.a, fam.b, fam.c, fam.n) == (a, b, c, n)
+        weights = [(b**j - 1) // (b - 1) for j in range(k - 1, 0, -1)]  # top first
+        digits = fam.digits
+        assert len(digits) == k - 1 and all(d >= 0 for d in digits)
+        assert sum(map(lambda d, w: d * w, digits, weights)) == fam.gens.a1
+        for j in range(1, k - 1):  # each lower tail stays below the weight above it
+            assert sum(d * w for d, w in zip(digits[j:], weights[j:])) < weights[j - 1]
+        assert digit_decompose(fam) == digits
+        assert fam.stated_p_max == (digits[0] if k == 3 else b - digits[1])
+        if k == 3 and c < 0:
+            want = reference_case(a, b, c, n, digits[1])
+            assert fam.case == closed_form_case(fam) == want
+        else:
+            assert fam.case is None
+
+    def test_is_a_tuple(self):
+        t = make_triple(5, 2, 19, 3)
+        a, b, c, n, gens, digits, top, case = t
+        assert (a, b, c, n, gens.gens) == (5, 2, 19, 3, (21, 61, 141))
+        assert (digits, top, case) == ((7, 0), 7, None)
+        assert t == (5, 2, 19, 3, gens, (7, 0), 7, None)
+        assert isinstance(t, ShiftedGeometricFamily)
+        u = make_triple(4, 3, -1, 1)
+        assert (u.digits, u.stated_p_max, u.case) == ((3, 1), 3, 2)
+        qd = make_quad(2, 3, 37, 3)
+        assert (qd.digits, qd.stated_p_max, qd.case, qd.k) == ((1, 1, 0), 2, None, 4)
+
+    @pytest.mark.parametrize(
+        "round_trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy]
+    )
+    @pytest.mark.parametrize(
+        "fam",
+        [make_triple(5, 2, 19, 3), make_triple(4, 3, -1, 1), make_quad(2, 3, 37, 3)],
+    )
+    def test_pickle_and_deepcopy_round_trip(self, round_trip, fam):
+        back = round_trip(fam)
+        assert type(back) is ShiftedGeometricFamily and back == fam
+        assert back.gens.gens == fam.gens.gens and back.k == fam.k
+        assert closed_value(back, "frobenius", 0) == closed_value(fam, "frobenius", 0)
+
+    @pytest.mark.parametrize("make", [make_triple, make_quad])
+    @pytest.mark.parametrize(
+        "abcn, error, message",
+        [
+            ((0, 2, 1, 1), InvalidInputError, "a must be >= 1, got 0"),
+            ((1, 1, 1, 1), InvalidInputError, "b must be >= 2, got 1"),
+            ((1, 2, 0, 1), InvalidInputError, "c must be nonzero"),
+            ((1, 2, 1, 0), InvalidInputError, "n must be >= 1, got 0"),
+            (
+                (1, 2, 7, 1),
+                InvalidInputError,
+                "minimum generator a*b^n - c = -5 must be >= 2",
+            ),
+            ((2, 2, 2, 1), GcdNotOneError, "gcd of generators is 2, expected 1"),
+        ],
+    )
+    def test_refusal_messages(self, make, abcn, error, message):
+        with pytest.raises(error) as info:
+            make(*abcn)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def reference_case(a, b, c, n, r):
+    """The negative-shift case from its four inequality systems, with Fractions.
+
+    x = c0 / (a*b^(n+1)); case 1: r-1 >= x*max(b-r, r-1); case 2:
+    b-r >= x*(b-r) > r-1; case 3: r-1 >= x*(b-r) > b-r; case 4:
+    x*(b-r) > max(b-r, r-1). None when no system holds.
+    """
+    x = Fraction(-c, a * b ** (n + 1))
+    systems = [
+        r - 1 >= x * max(b - r, r - 1),
+        b - r >= x * (b - r) > r - 1,
+        r - 1 >= x * (b - r) > b - r,
+        x * (b - r) > max(b - r, r - 1),
+    ]
+    assert sum(systems) <= 1
+    return systems.index(True) + 1 if any(systems) else None
 
 
 class TestPastDigitLimit:
@@ -216,10 +316,10 @@ class TestCaseSelector:
     @settings(max_examples=80, deadline=None)
     def test_at_most_one_case(self, a, b, c0, n):
         try:
-            t = make_triple(a, b, -c0, n)
+            t = make_triple(a, b, -c0, n)  # its case assertion fires on overlap
         except FrobkitError:
             return
-        closed_form_case(t)  # internal assertion fires on overlap
+        closed_form_case(t)
 
     def test_each_selected_case_matches_oracle(self):
         # exercise every branch id against the scan oracle at p <= 1

@@ -1,6 +1,8 @@
 """Core engine tests: denumerants, Apery sets, and the two oracle routes."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -79,6 +81,33 @@ class TestGeneratorTuple:
     def test_gcd_must_be_one(self):
         with pytest.raises(GcdNotOneError):
             GeneratorTuple((4, 6))
+
+    def test_value_semantics(self):
+        gt = GeneratorTuple((9, 4, 9, 7))
+        assert gt == GeneratorTuple([7, 4, 9])
+        assert hash(gt) == hash(GeneratorTuple((4, 7, 9)))
+        assert gt != GeneratorTuple((4, 7)) and gt != (4, 7, 9)
+        assert len({gt, GeneratorTuple((4, 7, 9)), GeneratorTuple((3, 5))}) == 2
+        assert repr(gt) == "GeneratorTuple(gens=(4, 7, 9))"
+        assert (tuple(gt), len(gt)) == ((4, 7, 9), 3)
+
+    def test_refuses_assignment(self):
+        gt = GeneratorTuple((3, 5))
+        with pytest.raises(AttributeError):
+            gt.gens = (2, 3)
+        with pytest.raises(AttributeError):
+            gt.other = 1
+        with pytest.raises(AttributeError):
+            del gt.gens
+        assert gt.gens == (3, 5)
+
+    @pytest.mark.parametrize(
+        "round_trip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy]
+    )
+    def test_pickle_and_copy_round_trip(self, round_trip):
+        gt = GeneratorTuple((4, 7, 9))
+        back = round_trip(gt)
+        assert type(back) is GeneratorTuple and back == gt and back.gens == (4, 7, 9)
 
     def test_redundant_generator_is_allowed_and_flagged(self):
         gt = GeneratorTuple((3, 5, 9))  # 9 = 3*3

@@ -14,6 +14,7 @@ from frobkit import (
     InvalidInputError,
     PointResult,
     ResourceLimitError,
+    ShiftedGeometricFamily,
     SweepSpec,
     discover_validity,
     closed_value,
@@ -255,17 +256,17 @@ class TestDiscoverValidity:
 
 def reference_validity(params, p_max, table_cap):
     """discover_validity's contract as a per-p loop with one scan per p."""
-    if isinstance(params, tuple):
-        gens = GeneratorTuple(params)
-
-        def closed(p):
-            return g_p_two_gens(*gens.gens, p)
-
-    else:
+    if isinstance(params, ShiftedGeometricFamily):
         gens = params.gens
 
         def closed(p):
             return closed_value(params, "frobenius", p)
+
+    else:
+        gens = GeneratorTuple(params)
+
+        def closed(p):
+            return g_p_two_gens(*gens.gens, p)
 
     last_ok = -1
     for p in range(p_max + 1):
@@ -360,7 +361,7 @@ class TestDiscoverValidityOnePass:
     def test_builds_no_more_tables_than_one_pass(
         self, monkeypatch, params, p_max, last_accepted
     ):
-        gens = params if isinstance(params, tuple) else params.gens
+        gens = params.gens if isinstance(params, ShiftedGeometricFamily) else params
         if last_accepted < p_max:
             with pytest.raises(FrobkitError):
                 closed_value(params, "frobenius", last_accepted + 1)
