@@ -27,18 +27,14 @@ from typing import Iterable
 from .errors import GcdNotOneError, InvalidInputError, ResourceLimitError
 
 #: Default table cap: the most entries of a DP count table, and the bound below
-#: which the residue-class engine keeps sums. Override per call or via
-#: FROBKIT_TABLE_CAP.
+#: which the residue-class engine keeps sums. FROBKIT_TABLE_CAP overrides it;
+#: every function that checks the cap reads the variable on each call.
 DEFAULT_TABLE_CAP = 10**8
 TABLE_CAP_ENV = "FROBKIT_TABLE_CAP"
 
 
-def effective_table_cap(cap: int | None = None) -> int:
-    """Resolve the table cap: explicit argument, then env var, then default."""
-    if cap is not None:
-        if cap < 1:
-            raise InvalidInputError(f"table cap must be >= 1, got {cap}")
-        return cap
+def effective_table_cap() -> int:
+    """The table cap: FROBKIT_TABLE_CAP if set, else DEFAULT_TABLE_CAP."""
     raw = os.environ.get(TABLE_CAP_ENV)
     if raw is None:
         return DEFAULT_TABLE_CAP
@@ -153,13 +149,13 @@ def _raw_counts(gens: tuple[int, ...], bound: int) -> list[int]:
 
 
 def denumerant_table(
-    gens: GeneratorTuple | Iterable[int], bound: int, *, table_cap: int | None = None
+    gens: GeneratorTuple | Iterable[int], bound: int
 ) -> tuple[int, ...]:
     """Counts d(m), indexed by m <= bound, in O(len(gens) * bound) additions."""
     gt = as_generators(gens)
     if bound < 0:
         raise InvalidInputError(f"bound must be >= 0, got {bound}")
-    cap = effective_table_cap(table_cap)
+    cap = effective_table_cap()
     if bound + 1 > cap:
         raise ResourceLimitError(
             f"denumerant table needs {bound + 1} entries, cap is {cap}"
@@ -167,13 +163,11 @@ def denumerant_table(
     return tuple(_raw_counts(gt.gens, bound))
 
 
-def denumerant(
-    m: int, gens: GeneratorTuple | Iterable[int], *, table_cap: int | None = None
-) -> int:
+def denumerant(m: int, gens: GeneratorTuple | Iterable[int]) -> int:
     """Number of representations of m as a nonnegative combination of gens."""
     if m < 0:
         raise InvalidInputError(f"m must be >= 0, got {m}")
-    return denumerant_table(gens, m, table_cap=table_cap)[m]
+    return denumerant_table(gens, m)[m]
 
 
 def check_p(p: int) -> None:
@@ -182,9 +176,7 @@ def check_p(p: int) -> None:
         raise InvalidInputError(f"p must be >= 0, got {p}")
 
 
-def _residue_sums(
-    gt: GeneratorTuple, p_max: int, table_cap: int | None
-) -> list[list[int]]:
+def _residue_sums(gt: GeneratorTuple, p_max: int, cap: int) -> list[list[int]]:
     """Per class j mod a1, its p_max + 1 smallest sums below the table cap.
 
     The sums are x2*g2 + ... + xk*gk over tuples of nonnegative x, counted
@@ -214,7 +206,6 @@ def _residue_sums(
     where a pop and a push take two. The root is popped when its class is
     full or no child is below the cap.
     """
-    cap = effective_table_cap(table_cap)
     if gt.a1 >= cap:
         return [[0], []]
     a1, rest = gt.a1, gt.gens[1:]
@@ -267,7 +258,7 @@ def _read_apery(gt: GeneratorTuple, entries: tuple[int, ...]) -> tuple[int, int]
 
 
 def scan_p_range(
-    gens: GeneratorTuple | Iterable[int], p_max: int, *, table_cap: int | None = None
+    gens: GeneratorTuple | Iterable[int], p_max: int
 ) -> list[tuple[int, int]]:
     """(g_p, n_p) for p = 0, 1, ..., from one residue-class pass.
 
@@ -278,56 +269,54 @@ def scan_p_range(
     """
     gt = as_generators(gens)
     check_p(p_max)
-    columns = zip(*_residue_sums(gt, p_max, table_cap))
+    columns = zip(*_residue_sums(gt, p_max, effective_table_cap()))
     return [_read_apery(gt, column) for column in columns]
 
 
-def require_row(
-    rows: list[tuple[int, int]], p: int, table_cap: int | None = None
-) -> tuple[int, int]:
+def require_row(rows: list[tuple[int, int]], p: int) -> tuple[int, int]:
     """rows[p] of a `scan_p_range` list; ResourceLimitError where the cap stopped p."""
     if p < len(rows):
         return rows[p]
-    raise cap_error(p, table_cap)
+    raise cap_error(p)
 
 
-def cap_error(p: int, table_cap: int | None = None) -> ResourceLimitError:
+def cap_error(p: int) -> ResourceLimitError:
     """The error for a p whose rows or count window the table cap stops."""
-    cap = effective_table_cap(table_cap)
+    cap = effective_table_cap()
     return ResourceLimitError(f"forward scan for p={p} exceeded table cap {cap}")
 
 
-def apery_set(
-    gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
-) -> tuple[int, ...]:
+def apery_set(gens: GeneratorTuple | Iterable[int], p: int) -> tuple[int, ...]:
     """The order-p Apery set, indexed by residue mod a1, from one residue-class pass.
 
     Entry j is the least m = j mod a1 with d(m) >= p + 1; entry 0 is 0
     exactly when p = 0.
+
+    A p that no class reaches below the cap is refused before the pass: a1's
+    multiplicity is fixed by the others, so d(m) <= prod over i >= 2 of
+    (m // a_i + 1), and below the cap no class holds more than `most` sums.
     """
     gt = as_generators(gens)
     check_p(p)
-    lists = _residue_sums(gt, p, table_cap)
+    cap = effective_table_cap()
+    most = math.prod((cap - 1) // g + 1 for g in gt.gens[1:])
+    lists = _residue_sums(gt, p, cap) if p < most else []
     filled = sum(len(bucket) > p for bucket in lists)
     if filled < gt.a1:
         raise ResourceLimitError(
-            f"Apery scan for p={p} exceeded table cap {effective_table_cap(table_cap)} "
+            f"Apery scan for p={p} exceeded table cap {cap} "
             f"({filled}/{gt.a1} residue classes filled)"
         )
     return tuple(bucket[p] for bucket in lists)
 
 
-def p_frobenius_via_apery(
-    gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
-) -> int:
+def p_frobenius_via_apery(gens: GeneratorTuple | Iterable[int], p: int) -> int:
     """p-Frobenius number as (max Apery element) - a1."""
     gt = as_generators(gens)
-    return _read_apery(gt, apery_set(gt, p, table_cap=table_cap))[0]
+    return _read_apery(gt, apery_set(gt, p))[0]
 
 
-def _scan_low_counts(
-    gens: GeneratorTuple | Iterable[int], p: int, table_cap: int | None
-) -> tuple[int, int]:
+def _scan_low_counts(gens: GeneratorTuple | Iterable[int], p: int) -> tuple[int, int]:
     """Largest m with d(m) <= p, and how many such m exist, by forward scan.
 
     The count table grows geometrically until the window for p closes in it.
@@ -340,7 +329,7 @@ def _scan_low_counts(
     gt = as_generators(gens)
     check_p(p)
     a1 = gt.a1
-    cap = effective_table_cap(table_cap)
+    cap = effective_table_cap()
     bound = max((p + 2) * gt.gens[-1], 4 * a1)
     while True:
         bound = min(bound, cap - 1)
@@ -349,31 +338,25 @@ def _scan_low_counts(
         if g + a1 <= bound:
             return g, sum(cnt <= p for cnt in counts)
         if bound >= cap - 1:
-            raise cap_error(p, cap)
+            raise cap_error(p)
         bound *= 2
 
 
-def p_frobenius_scan(
-    gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
-) -> int:
+def p_frobenius_scan(gens: GeneratorTuple | Iterable[int], p: int) -> int:
     """p-Frobenius number by forward scan of a count table."""
-    return _scan_low_counts(gens, p, table_cap)[0]
+    return _scan_low_counts(gens, p)[0]
 
 
-def p_sylvester_via_apery(
-    gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
-) -> int:
+def p_sylvester_via_apery(gens: GeneratorTuple | Iterable[int], p: int) -> int:
     """p-Sylvester number from the Apery set: sum/a1 - (a1-1)/2, exactly."""
     gt = as_generators(gens)
-    return _read_apery(gt, apery_set(gt, p, table_cap=table_cap))[1]
+    return _read_apery(gt, apery_set(gt, p))[1]
 
 
-def p_sylvester_count(
-    gens: GeneratorTuple | Iterable[int], p: int, *, table_cap: int | None = None
-) -> int:
+def p_sylvester_count(gens: GeneratorTuple | Iterable[int], p: int) -> int:
     """p-Sylvester number by directly counting m >= 0 with d(m) <= p.
 
     m = 0 is included whenever p >= 1 since d(0) = 1; for p = 0 this is the
     classical gap count.
     """
-    return _scan_low_counts(gens, p, table_cap)[1]
+    return _scan_low_counts(gens, p)[1]

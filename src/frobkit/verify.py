@@ -172,11 +172,9 @@ class VerificationReport:
         return rows
 
 
-def _points(
-    params: ShiftedGeometricFamily, p_values: range, table_cap: int | None
-) -> tuple[PointResult, ...]:
+def _points(params: ShiftedGeometricFamily, p_values: range) -> tuple[PointResult, ...]:
     """Closed form vs oracle at each p in p_values, from one oracle pass."""
-    oracle = scan_p_range(params.gens, p_values[-1], table_cap=table_cap)
+    oracle = scan_p_range(params.gens, p_values[-1])
     a, b, c, n, case = params.a, params.b, params.c, params.n, case_tag(params)
     points = []
     for p in p_values:
@@ -187,14 +185,9 @@ def _points(
     return tuple(points)
 
 
-def verify_point(
-    params: ShiftedGeometricFamily,
-    p: int,
-    *,
-    table_cap: int | None = None,
-) -> PointResult:
+def verify_point(params: ShiftedGeometricFamily, p: int) -> PointResult:
     """Evaluate closed form and oracle at one (params, p) point."""
-    return _points(params, range(p, p + 1), table_cap)[0]
+    return _points(params, range(p, p + 1))[0]
 
 
 def theorem_p_range(params: ShiftedGeometricFamily) -> range:
@@ -203,7 +196,7 @@ def theorem_p_range(params: ShiftedGeometricFamily) -> range:
 
 
 def _evaluate_tuple(
-    spec: SweepSpec, table_cap: int | None, abcn: tuple[int, int, int, int]
+    spec: SweepSpec, abcn: tuple[int, int, int, int]
 ) -> tuple[PointResult, ...] | str:
     """One tuple's points from one oracle pass, or the field it is skipped under."""
     if past_digit_limit(*abcn):
@@ -219,15 +212,10 @@ def _evaluate_tuple(
         p_values = theorem_p_range(params)
     else:
         p_values = range(int(spec.p_policy) + 1)
-    return _points(params, p_values, table_cap)
+    return _points(params, p_values)
 
 
-def verify_grid(
-    spec: SweepSpec,
-    *,
-    workers: int = 1,
-    table_cap: int | None = None,
-) -> VerificationReport:
+def verify_grid(spec: SweepSpec, *, workers: int = 1) -> VerificationReport:
     """Sweep the spec's parameter grid and compare closed forms to the oracle.
 
     Tuples with gcd != 1, or with a minimum generator above
@@ -238,14 +226,14 @@ def verify_grid(
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
     if spec.p_policy != "theorem-range":
-        cap = effective_table_cap(table_cap)
+        cap = effective_table_cap()
         # A fixed p_policy lists p_policy + 1 points per tuple, so the gate
         # bounds a report's points per tuple by the cap. It is no bound on
         # reach: d(m) can outgrow m, and (3, 5, 9) has g_2000 + a1 = 733.
         if spec.p_policy >= cap:
             raise ResourceLimitError(f"fixed p_policy {spec.p_policy} >= table cap {cap}")
     tuples = spec.tuples()
-    evaluate = partial(_evaluate_tuple, spec, table_cap)
+    evaluate = partial(_evaluate_tuple, spec)
     if workers > 1 and tuples:
         # Imported here, so that `import frobkit` does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -267,10 +255,7 @@ def verify_grid(
 
 
 def discover_validity(
-    params: ShiftedGeometricFamily | GeneratorTuple | tuple,
-    p_max: int,
-    *,
-    table_cap: int | None = None,
+    params: ShiftedGeometricFamily | GeneratorTuple | tuple, p_max: int
 ) -> int:
     """Largest p <= p_max with closed form == oracle at every p' <= p.
 
@@ -299,11 +284,11 @@ def discover_validity(
         # The window for p ends at g_p + a1. Past the table cap, the oracle
         # stops at p or disagrees with the closed value there: p decides. A
         # refusal at p = 0 needs no oracle, so it reads no cap.
-        cap = cap or effective_table_cap(table_cap)
+        cap = cap or effective_table_cap()
         if values[-1] + gens.a1 >= cap:
             break
-    rows = scan_p_range(gens, len(values) - 1, table_cap=cap) if values else []
+    rows = scan_p_range(gens, len(values) - 1) if values else []
     for p, value in enumerate(values):
-        if value != require_row(rows, p, cap)[0]:
+        if value != require_row(rows, p)[0]:
             return p - 1
     return len(values) - 1

@@ -20,6 +20,8 @@ from frobkit import FrobkitError, ResourceLimitError, cli, families, semigroup
 from frobkit.cli import main
 from frobkit.semigroup import TABLE_CAP_ENV, p_frobenius_scan, p_sylvester_count
 
+from _cap import capped
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -148,6 +150,32 @@ class TestCompute:
         assert (code, out) == (3, "")
         assert err == f"error: forward scan for p={p} exceeded table cap 20\n"
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            # (21, 61, 141): below the default cap a class holds at most
+            # 1639345 * 709220 (about 1.16 * 10^12) sums, so 10^20 is out of reach
+            (["compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
+              "--p", str(10**20), "--method", "oracle"],
+             f"error: forward scan for p={10**20} exceeded table cap 100000000\n"),
+            (["apery", "--gens", "2,3", "--p", str(10**20)],
+             f"error: Apery scan for p={10**20} exceeded table cap 100000000 "
+             "(0/2 residue classes filled)\n"),
+        ],
+        ids=["compute", "apery"],
+    )
+    def test_unreachable_p_at_the_default_cap_exits_3_at_once(self, argv, err):
+        # a pass filling classes toward p + 1 sums would not end, so run main
+        # with a deadline
+        result = []
+        worker = threading.Thread(target=lambda: result.append(run_captured(argv)),
+                                  daemon=True)
+        with capped(None):
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive(), "main did not return within 10 s"
+        assert result == [(3, "", err)]
+
 
 def _valid_families():
     """The (a, b, c, n, k) with a <= 5, b <= 4, 0 < |c| <= 40, n <= 2 that build."""
@@ -184,11 +212,7 @@ class TestComputeReadsTheEngine:
         argv = ["compute", "--a", str(a), "--b", str(b), f"--c={c}", "--n", str(n),
                 "--vars", str(k), "--p", str(p), "--quantity", quantity,
                 "--method", "oracle", "--format", "json"]
-        with pytest.MonkeyPatch.context() as m:
-            if cap is None:
-                m.delenv(TABLE_CAP_ENV, raising=False)
-            else:
-                m.setenv(TABLE_CAP_ENV, str(cap))
+        with capped(cap):
             try:
                 want = scan(gens, p)
             except ResourceLimitError as exc:

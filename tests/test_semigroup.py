@@ -1,6 +1,7 @@
 """Core engine tests: denumerants, Apery sets, and the two oracle routes."""
 
 import copy
+import inspect
 import math
 import pickle
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import frobkit
 from frobkit import (
     FrobkitError,
     GcdNotOneError,
@@ -32,6 +34,7 @@ from frobkit import (
 from frobkit import cli, semigroup
 from frobkit.semigroup import TABLE_CAP_ENV, effective_table_cap
 
+from _cap import capped
 from _naive import (
     naive_counts,
     naive_denumerant,
@@ -155,8 +158,8 @@ class TestDenumerantTable:
         assert denumerant_table((2, 3), 0) == (1,)
 
     def test_cap_breach(self):
-        with pytest.raises(ResourceLimitError):
-            denumerant_table((2, 3), 100, table_cap=50)
+        with capped(50), pytest.raises(ResourceLimitError):
+            denumerant_table((2, 3), 100)
 
     @given(small_generator_tuples())
     @settings(max_examples=25, deadline=None)
@@ -170,12 +173,20 @@ class TestTableCap:
     def test_env_var_override(self, monkeypatch):
         monkeypatch.setenv(TABLE_CAP_ENV, "123")
         assert effective_table_cap() == 123
-        assert effective_table_cap(77) == 77  # explicit wins
 
     def test_env_var_garbage(self, monkeypatch):
         monkeypatch.setenv(TABLE_CAP_ENV, "banana")
         with pytest.raises(InvalidInputError):
             effective_table_cap()
+
+    def test_the_variable_is_the_only_setting(self):
+        # FROBKIT_TABLE_CAP is read on each call; no public function takes
+        # the cap as an argument.
+        assert list(inspect.signature(effective_table_cap).parameters) == []
+        for name in frobkit.__all__:
+            obj = getattr(frobkit, name)
+            if inspect.isfunction(obj):
+                assert "table_cap" not in inspect.signature(obj).parameters, name
 
 
 class TestAperySet:
@@ -189,8 +200,8 @@ class TestAperySet:
         assert max(apery_set((21, 61, 141), 0)) == 968
 
     def test_cap_breach(self):
-        with pytest.raises(ResourceLimitError):
-            apery_set((2, 3), 1, table_cap=4)
+        with capped(4), pytest.raises(ResourceLimitError):
+            apery_set((2, 3), 1)
 
     @given(small_generator_tuples(), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -295,9 +306,7 @@ class TestRedundantGenerators:
     @example([16, 2, 4, 3, 8], 9)
     def test_matches_naive_representability(self, raw, cap):
         gens = GeneratorTuple(tuple(raw)).gens
-        with pytest.MonkeyPatch.context() as m:
-            if cap is not None:
-                m.setenv(TABLE_CAP_ENV, str(cap))
+        with capped(cap):
             if cap is not None and gens[-1] + 1 > cap:
                 with pytest.raises(ResourceLimitError):
                     GeneratorTuple(tuple(raw)).redundant_generators()
@@ -336,24 +345,27 @@ class TestScanPRange:
     def test_cap_stops_high_p_only(self):
         # g_p(2, 3) = 6p + 1, whose window ends at 6p + 3; a cap of 20 entries
         # holds the windows of p <= 2 only.
-        rows = scan_p_range((2, 3), 5, table_cap=20)
-        assert rows[:3] == [(1, 1), (7, 7), (13, 13)]
-        assert len(rows) == 3
-        assert p_frobenius_scan((2, 3), 2, table_cap=20) == 13
-        with pytest.raises(ResourceLimitError):
-            p_frobenius_scan((2, 3), 3, table_cap=20)
-        with pytest.raises(ResourceLimitError):
-            apery_set((2, 3), 3, table_cap=20)
-        with pytest.raises(ResourceLimitError):  # no per-p storage for a huge p
-            p_frobenius_scan((2, 3), 10**12, table_cap=20)
-        assert scan_p_range((2, 3), 0, table_cap=1) == []  # the table is [1]
-        with pytest.raises(ResourceLimitError):
-            p_sylvester_count((2, 3), 0, table_cap=1)
+        with capped(20):
+            rows = scan_p_range((2, 3), 5)
+            assert rows[:3] == [(1, 1), (7, 7), (13, 13)]
+            assert len(rows) == 3
+            assert p_frobenius_scan((2, 3), 2) == 13
+            with pytest.raises(ResourceLimitError):
+                p_frobenius_scan((2, 3), 3)
+            with pytest.raises(ResourceLimitError):
+                apery_set((2, 3), 3)
+            with pytest.raises(ResourceLimitError):  # no per-p storage for a huge p
+                p_frobenius_scan((2, 3), 10**12)
+        with capped(1):
+            assert scan_p_range((2, 3), 0) == []  # the table is [1]
+            with pytest.raises(ResourceLimitError):
+                p_sylvester_count((2, 3), 0)
 
     def test_huge_p_max_allocates_only_the_filled_rows(self):
         tracemalloc.start()
         try:
-            rows = scan_p_range((2, 3), 10**7, table_cap=20)
+            with capped(20):
+                rows = scan_p_range((2, 3), 10**7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -376,9 +388,10 @@ class TestScanPRange:
         gens = (2000003, 2000004)
         tracemalloc.start()
         try:
-            rows = scan_p_range(gens, 0, table_cap=1000)
-            with pytest.raises(ResourceLimitError) as info:
-                apery_set(gens, 0, table_cap=1000)
+            with capped(1000):
+                rows = scan_p_range(gens, 0)
+                with pytest.raises(ResourceLimitError) as info:
+                    apery_set(gens, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -398,13 +411,15 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
-def dp_apery_reference(gens, p, table_cap):
+def dp_apery_reference(gens, p):
     """apery_set's entries, or its cap error, read from a denumerant table."""
-    cap = effective_table_cap(table_cap)
+    cap = effective_table_cap()
     a1 = gens[0]
-    bound = min(cap - 1, p_frobenius_scan(gens, p) + a1)  # the largest entry
+    with capped(None):  # g_p at the default cap
+        g_p = p_frobenius_scan(gens, p)
+    bound = min(cap - 1, g_p + a1)  # the largest entry
     entries: dict[int, int] = {}
-    for m, cnt in enumerate(denumerant_table(gens, bound, table_cap=table_cap)):
+    for m, cnt in enumerate(denumerant_table(gens, bound)):
         if cnt > p:
             entries.setdefault(m % a1, m)
     if len(entries) < a1:
@@ -423,22 +438,28 @@ class TestResidueEngineCrossRoute:
     @example([7, 5, 13], 3, 60)
     def test_engine_equals_dp_and_naive(self, raw, p_max, table_cap):
         gens = GeneratorTuple(tuple(raw)).gens
-        cap = effective_table_cap(table_cap)
-        rows = scan_p_range(raw, p_max, table_cap=table_cap)
-        naive = [(naive_g_p(gens, p), naive_n_p(gens, p)) for p in range(p_max + 1)]
-        # A row needs every p-Apery element, the largest being g_p + a1; g_p
-        # never decreases, so the rows in reach form a prefix.
-        assert rows == [(g, n) for g, n in naive if g + gens[0] < cap]
-        for p, row in enumerate(naive):
-            for i, scan in enumerate((p_frobenius_scan, p_sylvester_count)):
-                want = (
-                    (ResourceLimitError, f"forward scan for p={p} exceeded table cap {cap}")
-                    if p >= len(rows)
-                    else row[i]
-                )
-                assert outcome(scan, raw, p, table_cap=table_cap) == want
-            got = outcome(apery_set, raw, p, table_cap=table_cap)
-            assert got == dp_apery_reference(gens, p, table_cap)
+        with capped(table_cap):
+            cap = effective_table_cap()
+            rows = scan_p_range(raw, p_max)
+            naive = [
+                (naive_g_p(gens, p), naive_n_p(gens, p)) for p in range(p_max + 1)
+            ]
+            # A row needs every p-Apery element, the largest being g_p + a1; g_p
+            # never decreases, so the rows in reach form a prefix.
+            assert rows == [(g, n) for g, n in naive if g + gens[0] < cap]
+            for p, row in enumerate(naive):
+                for i, scan in enumerate((p_frobenius_scan, p_sylvester_count)):
+                    want = (
+                        (
+                            ResourceLimitError,
+                            f"forward scan for p={p} exceeded table cap {cap}",
+                        )
+                        if p >= len(rows)
+                        else row[i]
+                    )
+                    assert outcome(scan, raw, p) == want
+                got = outcome(apery_set, raw, p)
+                assert got == dp_apery_reference(gens, p)
 
 
 class TestResidueSumsContract:
@@ -471,7 +492,7 @@ class TestResidueSumsContract:
     @pytest.mark.parametrize(
         "gens, p_max, cap, want",
         [
-            ((2, 3), 3, None, [[0, 6, 12, 18], [3, 9, 15, 21]]),
+            ((2, 3), 3, semigroup.DEFAULT_TABLE_CAP, [[0, 6, 12, 18], [3, 9, 15, 21]]),
             ((2, 3), 3, 9, [[0, 6], [3]]),  # 9 is at the cap: dropped
             ((2, 3), 3, 10, [[0, 6], [3, 9]]),  # 9 is just below it: kept
             ((5, 7), 0, 5, [[0], []]),  # a1 >= cap: class 1 stands for all

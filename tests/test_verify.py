@@ -28,6 +28,8 @@ from frobkit import (
 )
 from frobkit import semigroup, verify
 
+from _cap import capped
+
 
 def summary_parts_sum(summary) -> int:
     return (
@@ -118,9 +120,12 @@ class TestVerifyGrid:
 
     def test_fixed_p_policy_stops_at_the_table_cap(self):
         spec = SweepSpec((5, 5), (2, 2), (19, 19), (3, 3), p_policy=30)
-        with pytest.raises(ResourceLimitError, match="p_policy 30 >= table cap 30"):
-            verify_grid(spec, table_cap=30)
-        report = verify_grid(spec, table_cap=31)  # g_0 + a1 = 968: no row fits
+        with capped(30), pytest.raises(
+            ResourceLimitError, match="p_policy 30 >= table cap 30"
+        ):
+            verify_grid(spec)
+        with capped(31):
+            report = verify_grid(spec)  # g_0 + a1 = 968: no row fits
         assert report.summary.total == 31
         assert report.summary.resource_limit == 8
 
@@ -205,9 +210,11 @@ class TestVerifyGrid:
         with pytest.raises(InvalidInputError):
             SweepSpec((1, 2), (2, 3), (1, 5), (1, 1), sample_limit=-1)
 
-    def test_table_cap_counts_resource_limits(self):
+    @pytest.mark.parametrize("workers", [1, 2])  # pool workers inherit the cap
+    def test_table_cap_counts_resource_limits(self, workers):
         spec = SweepSpec((1, 2), (2, 3), (1, 5), (1, 2))
-        report = verify_grid(spec, table_cap=200)
+        with capped(200):
+            report = verify_grid(spec, workers=workers)
         assert report.summary.resource_limit == 10
         assert report.summary.mismatched == 0
         assert summary_parts_sum(report.summary) == report.summary.total
@@ -254,7 +261,7 @@ class TestDiscoverValidity:
             discover_validity((2, 3, 5), 3)
 
 
-def reference_validity(params, p_max, table_cap):
+def reference_validity(params, p_max):
     """discover_validity's contract as a per-p loop with one scan per p."""
     if isinstance(params, ShiftedGeometricFamily):
         gens = params.gens
@@ -274,7 +281,7 @@ def reference_validity(params, p_max, table_cap):
             value = closed(p)
         except FrobkitError:
             break
-        if value != p_frobenius_scan(gens, p, table_cap=table_cap):
+        if value != p_frobenius_scan(gens, p):
             break
         last_ok = p
     return last_ok
@@ -330,9 +337,10 @@ class TestDiscoverValidityOnePass:
     )
     @settings(max_examples=80, deadline=None)
     def test_equals_per_p_reference(self, params, p_max, table_cap):
-        assert outcome(
-            discover_validity, params, p_max, table_cap=table_cap
-        ) == outcome(reference_validity, params, p_max, table_cap)
+        with capped(table_cap):
+            assert outcome(discover_validity, params, p_max) == outcome(
+                reference_validity, params, p_max
+            )
 
     def test_cap_error_names_the_first_capped_p(self, monkeypatch):
         # g_p(2, 3) = 6p + 1; a 20-entry table holds the windows of p <= 2,
@@ -345,8 +353,10 @@ class TestDiscoverValidityOnePass:
             return real(a, b, p)
 
         monkeypatch.setattr(verify, "g_p_two_gens", counting)
-        with pytest.raises(ResourceLimitError, match="p=3 exceeded table cap 20"):
-            discover_validity((2, 3), 10**6, table_cap=20)
+        with capped(20), pytest.raises(
+            ResourceLimitError, match="p=3 exceeded table cap 20"
+        ):
+            discover_validity((2, 3), 10**6)
         assert calls == [0, 1, 2, 3]
 
     @pytest.mark.parametrize(
@@ -367,7 +377,7 @@ class TestDiscoverValidityOnePass:
                 closed_value(params, "frobenius", last_accepted + 1)
         _, one_pass = count_table_builds(monkeypatch, scan_p_range, gens, last_accepted)
         got, builds = count_table_builds(monkeypatch, discover_validity, params, p_max)
-        assert got == reference_validity(params, p_max, None)
+        assert got == reference_validity(params, p_max)
         assert builds <= one_pass
 
     def test_refusal_at_zero_builds_nothing(self, monkeypatch):
