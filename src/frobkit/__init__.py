@@ -14,9 +14,7 @@ from .errors import (
 from .families import (
     ShiftedGeometricFamily,
     apery_grid_triple,
-    closed_form_case,
     closed_value,
-    digit_decompose,
     g_p_closed_quad,
     g_p_closed_triple,
     g_p_two_gens,
@@ -30,11 +28,6 @@ from .semigroup import (
     apery_set,
     denumerant,
     denumerant_table,
-    gcd_of,
-    p_frobenius_scan,
-    p_frobenius_via_apery,
-    p_sylvester_count,
-    p_sylvester_via_apery,
     scan_p_range,
 )
 from .verify import (
@@ -43,7 +36,6 @@ from .verify import (
     SweepSummary,
     VerificationReport,
     discover_validity,
-    theorem_p_range,
     verify_grid,
     verify_point,
 )
@@ -67,25 +59,17 @@ __all__ = [
     "VerificationReport",
     "apery_grid_triple",
     "apery_set",
-    "closed_form_case",
     "closed_value",
     "denumerant",
     "denumerant_table",
-    "digit_decompose",
     "discover_validity",
     "g_p_closed_quad",
     "g_p_closed_triple",
     "g_p_two_gens",
-    "gcd_of",
     "make_quad",
     "make_triple",
     "n_p_closed_triple",
-    "p_frobenius_scan",
-    "p_frobenius_via_apery",
-    "p_sylvester_count",
-    "p_sylvester_via_apery",
     "scan_p_range",
-    "theorem_p_range",
     "verify_grid",
     "verify_point",
 ]

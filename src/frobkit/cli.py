@@ -36,8 +36,7 @@ from .semigroup import (
     GeneratorTuple,
     apery_set,
     cap_error,
-    p_frobenius_via_apery,
-    p_sylvester_via_apery,
+    read_apery,
     require_row,
     scan_p_range,
 )
@@ -159,12 +158,11 @@ def cmd_compute(args) -> int:
     if args.method in ("closed", "both"):
         closed, closed_error = closed_or_refusal(params, args.quantity, args.p)
     if args.method != "closed" or closed is None:
-        frobenius = args.quantity == "frobenius"
-        via_apery = p_frobenius_via_apery if frobenius else p_sylvester_via_apery
         try:
-            oracle = via_apery(params.gens, args.p)
+            g_p, n_p = read_apery(params.gens, apery_set(params.gens, args.p))
         except ResourceLimitError:
             raise cap_error(args.p) from None
+        oracle = g_p if args.quantity == "frobenius" else n_p
     if closed is None and args.method == "closed":
         method_used = "oracle-fallback"
     elif closed is not None and args.method == "both":

@@ -2,7 +2,7 @@
 
 The three-term family is (a*b^n - c, a*b^(n+1) - c, a*b^(n+2) - c) and the
 four-term family appends a*b^(n+3) - c. Every closed form comes from one
-picture. `digit_decompose` splits the minimum generator a1 in the mixed
+picture. A family's `digits` split the minimum generator a1 in the mixed
 radix with weights w_j = (b^j - 1)/(b - 1):
 
   * triples: a1 = q*(b+1) + r, digits (q, r), 0 <= r <= b
@@ -11,8 +11,8 @@ radix with weights w_j = (b^j - 1)/(b - 1):
 The largest element of the p-Apery set sits at an exponent vector
 (x2, ..., xk) read from those digits, so g_p = x2*a2 + ... + xk*ak - a1;
 `_max_position` holds one row per case. For negative c a triple's position
-depends on which of four inequality systems holds; `closed_form_case`
-evaluates them verbatim and reports the case, if any.
+depends on which of four inequality systems holds; a family's `case`
+holds the one that does, if any.
 """
 
 from __future__ import annotations
@@ -36,9 +36,13 @@ class ShiftedGeometricFamily(NamedTuple):
     """Parameters (a, b, c, n), the k-term generator tuple (k = 3 or 4) and
     what the closed forms read from them, worked out once at construction.
 
-    `digits` is digit_decompose's value, `stated_p_max` the top of the p
-    range the paper states (q for triples, b - beta for quads) and `case`
-    closed_form_case's value for a triple with c < 0, else None.
+    `digits` are a1's digits in the mixed radix w_j = (b^j - 1)/(b - 1), top
+    digit first: a1 = d_{k-1}*w_{k-1} + ... + d_1*w_1, each digit but the
+    top one below w_{j+1}/w_j, so (q, r) for triples and (alpha, beta, gamma)
+    for quads. `stated_p_max` is the top of the p range the paper states
+    (q for triples, b - beta for quads). `case` is the closed-form case
+    (1 to 4) of a triple with c < 0; it is None where no case applies and
+    for every other family.
     """
 
     a: int
@@ -114,15 +118,6 @@ def make_quad(a: int, b: int, c: int, n: int) -> ShiftedGeometricFamily:
     return _family(a, b, c, n, 4)
 
 
-def digit_decompose(fam: ShiftedGeometricFamily) -> tuple[int, ...]:
-    """Digits of a1 in the mixed radix w_j = (b^j - 1)/(b - 1), top digit first.
-
-    a1 = d_{k-1}*w_{k-1} + ... + d_1*w_1, each digit but the top one below
-    w_{j+1}/w_j: (q, r) for triples and (alpha, beta, gamma) for quads.
-    """
-    return fam.digits
-
-
 def _stated_digits(fam: ShiftedGeometricFamily, k: int, p: int) -> tuple[int, ...]:
     """fam.digits, once fam has k terms and p lies in its stated range."""
     if fam.k != k:
@@ -136,7 +131,13 @@ def _stated_digits(fam: ShiftedGeometricFamily, k: int, p: int) -> tuple[int, ..
 
 
 def _case(a: int, b: int, c: int, n: int, growth: int, r: int) -> int | None:
-    """closed_form_case of the triple (a, b, c, n), c < 0, from growth = a*b^(n+1)."""
+    """The closed-form case of the triple (a, b, c, n), c < 0, from growth = a*b^(n+1).
+
+    The four inequality systems are evaluated verbatim (>= on the growth
+    side, strict > on the shift side, as required for correctness at ties);
+    at most one holds. At the r = b boundary with a large shift none holds,
+    and the caller must fall back to an oracle.
+    """
     # c0 > 0 and growth > 0, so multiplying max{b-r, r-1} through is exact.
     c0 = -c
     r_excess_growth, b_gap_growth = (r - 1) * growth, (b - r) * growth
@@ -155,21 +156,6 @@ def _case(a: int, b: int, c: int, n: int, growth: int, r: int) -> int | None:
     return hits.index(True) + 1 if any(hits) else None
 
 
-def closed_form_case(t: ShiftedGeometricFamily) -> int | None:
-    """The closed-form case (1 to 4) of a triple with c < 0; None if none applies.
-
-    Exactly one of four inequality systems can hold (>= on the growth side,
-    strict > on the shift side, as required for correctness at ties); at the
-    r = b boundary with a large shift none holds and the caller must fall
-    back to an oracle.
-    """
-    if t.c > 0:
-        raise InvalidInputError("case selection is defined only for c < 0")
-    if t.k != 3:
-        raise InvalidInputError(f"expected a 3-term family, got {t.k} terms")
-    return t.case
-
-
 #: The largest p at which triple cases 3 and 4 have been checked against the
 #: oracle. Past it they are wrong for some tuples although the paper states
 #: them up to q (README, "Notes on validity ranges").
@@ -183,7 +169,7 @@ def _max_position(
 
     d1, d2, ... are the digits of a1 from the unit digit up. For c > 0 the
     case is 1 when d1 >= 1 and 2 when d1 = 0; for c < 0 (triples only) it
-    is closed_form_case's. p must lie in the stated range already.
+    is fam.case. p must lie in the stated range already.
 
     Two quad rows are checked against the engine, not proved: at p = b - beta
     with gamma >= 2 the maximum sits at (gamma - 2, 0, alpha + 1), and with
@@ -246,7 +232,7 @@ def n_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
     check_p(p)
     if t.c < 0:
         raise UnsupportedCaseError(
-            "no closed p-Sylvester form for c < 0; use p_sylvester_count"
+            "no closed p-Sylvester form for c < 0; use scan_p_range"
         )
     q = _stated_digits(t, 3, p)[0]
     g1, g2, _ = t.gens.gens
@@ -306,7 +292,7 @@ def g_p_closed_quad(qd: ShiftedGeometricFamily, p: int) -> int:
     check_p(p)
     if qd.c < 0:
         raise UnsupportedCaseError(
-            "no closed four-term form for c < 0; use p_frobenius_scan"
+            "no closed four-term form for c < 0; use scan_p_range"
         )
     return _frobenius(qd, 4, p)
 

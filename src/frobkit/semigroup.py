@@ -1,20 +1,20 @@
 """Generic numerical-semigroup engine.
 
-Formula-free machinery with two independent oracle routes to p-Apery sets
-and the p-Frobenius and p-Sylvester numbers:
+Formula-free machinery for p-Apery sets, denumerants and the p-Frobenius and
+p-Sylvester numbers:
 
 - the residue-class engine (`_residue_sums`) pops sums of the generators
   above a1 from a heap and keeps the p_max + 1 smallest of each class mod
   a1. It gives every p-Apery set for p <= p_max in one pass, in
-  O((p_max + 1) * k * a1 * log) time whatever the size of g_p, and serves
-  `apery_set`, the `*_via_apery` functions and the capped rows of `scan_p_range`;
-- the coin-counting DP count table (`_raw_counts`) serves the forward scans
-  `p_frobenius_scan` and `p_sylvester_count`, the denumerants and the
-  redundancy check, and cross-checks the engine.
+  O((p_max + 1) * k * a1 * log) time whatever the size of g_p. It serves
+  `apery_set` and `scan_p_range`, the only routes to g_p and n_p, which
+  `read_apery` reads from an Apery set;
+- the coin-counting DP count table (`_raw_counts`) serves the denumerants
+  and the redundancy check.
 
-`tests/_naive.py` and `bench/reference.py` are the external checks. All
-arithmetic is exact; counts can exceed 64 bits, so they are plain Python
-integers.
+`tests/_naive.py`, which also holds a DP scan that cross-checks the engine,
+and `bench/reference.py` are the external checks. All arithmetic is exact;
+counts can exceed 64 bits, so they are plain Python integers.
 """
 
 from __future__ import annotations
@@ -47,16 +47,6 @@ def effective_table_cap() -> int:
     if value < 1:
         raise InvalidInputError(f"{TABLE_CAP_ENV} must be >= 1, got {value}")
     return value
-
-
-def gcd_of(values: Iterable[int]) -> int:
-    """Greatest common divisor of a nonempty list of positive integers."""
-    vals = list(values)
-    if not vals:
-        raise InvalidInputError("gcd_of: empty value list")
-    if any(v < 1 for v in vals):
-        raise InvalidInputError("gcd_of: all values must be >= 1")
-    return math.gcd(*vals)
 
 
 class GeneratorTuple:
@@ -245,7 +235,7 @@ def _residue_sums(gt: GeneratorTuple, p_max: int, cap: int) -> list[list[int]]:
     return found
 
 
-def _read_apery(gt: GeneratorTuple, entries: tuple[int, ...]) -> tuple[int, int]:
+def read_apery(gt: GeneratorTuple, entries: tuple[int, ...]) -> tuple[int, int]:
     """(g_p, n_p) from a p-Apery set: max - a1 and sum/a1 - (a1-1)/2, exactly."""
     a1 = gt.a1
     n_p, rest = divmod(2 * sum(entries) - a1 * (a1 - 1), 2 * a1)
@@ -262,7 +252,7 @@ def scan_p_range(
 ) -> list[tuple[int, int]]:
     """(g_p, n_p) for p = 0, 1, ..., from one residue-class pass.
 
-    Row p is `_read_apery` of that p's Apery set, which is column p of the
+    Row p is `read_apery` of that p's Apery set, which is column p of the
     engine's per-class lists. The rows stop at p_max or before the first p
     the table cap stops (g_p + a1 >= cap), whichever comes first; g_p never
     decreases as p grows. `require_row` reads them.
@@ -270,7 +260,7 @@ def scan_p_range(
     gt = as_generators(gens)
     check_p(p_max)
     columns = zip(*_residue_sums(gt, p_max, effective_table_cap()))
-    return [_read_apery(gt, column) for column in columns]
+    return [read_apery(gt, column) for column in columns]
 
 
 def require_row(rows: list[tuple[int, int]], p: int) -> tuple[int, int]:
@@ -281,7 +271,10 @@ def require_row(rows: list[tuple[int, int]], p: int) -> tuple[int, int]:
 
 
 def cap_error(p: int) -> ResourceLimitError:
-    """The error for a p whose rows or count window the table cap stops."""
+    """The error for a p whose rows the table cap stops.
+
+    Its wording is part of the commands' stderr contract.
+    """
     cap = effective_table_cap()
     return ResourceLimitError(f"forward scan for p={p} exceeded table cap {cap}")
 
@@ -292,15 +285,23 @@ def apery_set(gens: GeneratorTuple | Iterable[int], p: int) -> tuple[int, ...]:
     Entry j is the least m = j mod a1 with d(m) >= p + 1; entry 0 is 0
     exactly when p = 0.
 
-    A p that no class reaches below the cap is refused before the pass: a1's
-    multiplicity is fixed by the others, so d(m) <= prod over i >= 2 of
-    (m // a_i + 1), and below the cap no class holds more than `most` sums.
+    A p that the classes cannot all reach below the cap is refused before the
+    pass. a1's multiplicity is fixed by the others, so the sums below the cap
+    are the tuples (x2, ..., xk) with each x_i <= (cap - 1) // a_i: at most
+    `most` of them over all classes together, and filling every class takes
+    a1 * (p + 1).
     """
     gt = as_generators(gens)
     check_p(p)
     cap = effective_table_cap()
     most = math.prod((cap - 1) // g + 1 for g in gt.gens[1:])
-    lists = _residue_sums(gt, p, cap) if p < most else []
+    need = gt.a1 * (p + 1)
+    if need > most:
+        raise ResourceLimitError(
+            f"Apery scan for p={p} exceeded table cap {cap} "
+            f"(at most {most} sums below the cap, {need} needed)"
+        )
+    lists = _residue_sums(gt, p, cap)
     filled = sum(len(bucket) > p for bucket in lists)
     if filled < gt.a1:
         raise ResourceLimitError(
@@ -308,55 +309,3 @@ def apery_set(gens: GeneratorTuple | Iterable[int], p: int) -> tuple[int, ...]:
             f"({filled}/{gt.a1} residue classes filled)"
         )
     return tuple(bucket[p] for bucket in lists)
-
-
-def p_frobenius_via_apery(gens: GeneratorTuple | Iterable[int], p: int) -> int:
-    """p-Frobenius number as (max Apery element) - a1."""
-    gt = as_generators(gens)
-    return _read_apery(gt, apery_set(gt, p))[0]
-
-
-def _scan_low_counts(gens: GeneratorTuple | Iterable[int], p: int) -> tuple[int, int]:
-    """Largest m with d(m) <= p, and how many such m exist, by forward scan.
-
-    The count table grows geometrically until the window for p closes in it.
-    Termination: d(m + a1) >= d(m) because appending one more copy of the
-    minimum generator maps representations of m injectively into those of
-    m + a1. Hence once a1 consecutive values all have d >= p + 1, every
-    larger value does too, so the last m with d(m) <= p is g_p once it lies
-    a1 below the table's end.
-    """
-    gt = as_generators(gens)
-    check_p(p)
-    a1 = gt.a1
-    cap = effective_table_cap()
-    bound = max((p + 2) * gt.gens[-1], 4 * a1)
-    while True:
-        bound = min(bound, cap - 1)
-        counts = _raw_counts(gt.gens, bound)
-        g = next((m for m in range(bound, -1, -1) if counts[m] <= p), -1)
-        if g + a1 <= bound:
-            return g, sum(cnt <= p for cnt in counts)
-        if bound >= cap - 1:
-            raise cap_error(p)
-        bound *= 2
-
-
-def p_frobenius_scan(gens: GeneratorTuple | Iterable[int], p: int) -> int:
-    """p-Frobenius number by forward scan of a count table."""
-    return _scan_low_counts(gens, p)[0]
-
-
-def p_sylvester_via_apery(gens: GeneratorTuple | Iterable[int], p: int) -> int:
-    """p-Sylvester number from the Apery set: sum/a1 - (a1-1)/2, exactly."""
-    gt = as_generators(gens)
-    return _read_apery(gt, apery_set(gt, p))[1]
-
-
-def p_sylvester_count(gens: GeneratorTuple | Iterable[int], p: int) -> int:
-    """p-Sylvester number by directly counting m >= 0 with d(m) <= p.
-
-    m = 0 is included whenever p >= 1 since d(0) = 1; for p = 0 this is the
-    classical gap count.
-    """
-    return _scan_low_counts(gens, p)[1]

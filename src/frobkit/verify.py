@@ -190,11 +190,6 @@ def verify_point(params: ShiftedGeometricFamily, p: int) -> PointResult:
     return _points(params, range(p, p + 1))[0]
 
 
-def theorem_p_range(params: ShiftedGeometricFamily) -> range:
-    """The p values the closed form is stated for: 0..q or 0..b-beta."""
-    return range(params.stated_p_max + 1)
-
-
 def _evaluate_tuple(
     spec: SweepSpec, abcn: tuple[int, int, int, int]
 ) -> tuple[PointResult, ...] | str:
@@ -209,7 +204,7 @@ def _evaluate_tuple(
     if params.gens.a1 > DEFAULT_MIN_GEN_CAP:
         return "skipped_large"
     if spec.p_policy == "theorem-range":
-        p_values = theorem_p_range(params)
+        p_values = range(params.stated_p_max + 1)  # 0..q or 0..b-beta
     else:
         p_values = range(int(spec.p_policy) + 1)
     return _points(params, p_values)

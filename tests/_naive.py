@@ -1,7 +1,9 @@
-"""Brute-force oracles for small inputs, independent of the package's DP.
+"""Oracles for small inputs that share no code with the package.
 
-Counts representations by direct recursive enumeration over generator
-multiplicities; used to compute and freeze expected values in the tests.
+Most count representations by direct recursive enumeration over generator
+multiplicities; `dp_scan` reads g_p and n_p off a coin-counting table. The
+tests use them to compute and freeze expected values and to cross-check the
+residue-class engine.
 """
 
 from __future__ import annotations
@@ -76,3 +78,28 @@ def naive_residue_sums(gens: tuple[int, ...], p_max: int, cap: int) -> list[list
             found[s % a1].append(s)
         if bound == cap or all(len(bucket) > p_max for bucket in found):
             return [bucket[: p_max + 1] for bucket in found]
+
+
+def dp_scan(gens: tuple[int, ...], p: int) -> tuple[int, int]:
+    """(g_p, n_p) of generators with gcd 1, by forward scan of a count table.
+
+    The table counts representations of every m up to a bound, and the bound
+    doubles until the window for p closes in it. d(m + a1) >= d(m), since one
+    more copy of the least generator a1 maps the representations of m into
+    those of m + a1. So once a1 consecutive values have d >= p + 1, every
+    larger value does too, and the last m with d(m) <= p is g_p once it lies
+    a1 below the table's end. No cap applies.
+    """
+    gens = tuple(sorted(set(gens)))
+    a1 = gens[0]
+    bound = max((p + 2) * gens[-1], 4 * a1)
+    while True:
+        counts = [0] * (bound + 1)
+        counts[0] = 1
+        for g in gens:
+            for m in range(g, bound + 1):
+                counts[m] += counts[m - g]
+        g_p = next((m for m in range(bound, -1, -1) if counts[m] <= p), -1)
+        if g_p + a1 <= bound:
+            return g_p, sum(count <= p for count in counts)
+        bound *= 2

@@ -15,22 +15,20 @@ from frobkit import (
     SweepSpec,
     apery_grid_triple,
     apery_set,
-    closed_form_case,
     denumerant_table,
-    digit_decompose,
     discover_validity,
     g_p_closed_quad,
     g_p_closed_triple,
     make_quad,
     make_triple,
     n_p_closed_triple,
-    p_frobenius_scan,
-    p_frobenius_via_apery,
-    p_sylvester_count,
-    p_sylvester_via_apery,
+    scan_p_range,
     verify_grid,
 )
 from frobkit.errors import FrobkitError
+from frobkit.semigroup import read_apery
+
+from _naive import dp_scan
 
 CORPUS_SEED = 20260811
 CORPUS_SIZE = 200
@@ -57,7 +55,7 @@ def corpus():
             t = make_triple(a, b, c, n)
         except FrobkitError:
             continue
-        out.append((t, rng.randint(0, digit_decompose(t)[0])))
+        out.append((t, rng.randint(0, t.digits[0])))
     return out
 
 
@@ -69,11 +67,9 @@ def test_criterion_1_golden_triple_positive_shift():
         g_expected = 141 * p + 947
         n_expected = 3 * (158 + 60 * p - p * p)
         assert g_p_closed_triple(t, p) == g_expected
-        assert p_frobenius_scan(t.gens, p) == g_expected
-        assert p_frobenius_via_apery(t.gens, p) == g_expected
         assert n_p_closed_triple(t, p) == n_expected
-        assert p_sylvester_count(t.gens, p) == n_expected
-        assert p_sylvester_via_apery(t.gens, p) == n_expected
+        assert dp_scan(t.gens, p) == (g_expected, n_expected)
+        assert read_apery(t.gens, apery_set(t.gens, p)) == (g_expected, n_expected)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
     _passed(1, f"(21,61,141) g_p=141p+947 and n_p=3(158+60p-p^2) on p=0..7 in {elapsed:.2f}s")
@@ -82,11 +78,12 @@ def test_criterion_1_golden_triple_positive_shift():
 def test_criterion_2_golden_triple_negative_shift():
     t = make_triple(4, 3, -1, 1)
     assert t.gens.gens == (13, 37, 109)
-    assert closed_form_case(t) == 2
+    assert t.case == 2
     for p in range(4):
         expected = 109 * p + 316
         assert g_p_closed_triple(t, p) == expected
-        assert p_frobenius_scan(t.gens, p) == expected
+        assert dp_scan(t.gens, p)[0] == expected
+        assert scan_p_range(t.gens, p)[p][0] == expected
     _passed(2, "(13,37,109) selects case 2 and g_p=109p+316 matches the oracle on p=0..3")
 
 
@@ -96,10 +93,11 @@ def test_criterion_3_golden_quad():
     for p in range(3):
         expected = 449 * p + 1779
         assert g_p_closed_quad(qd, p) == expected
-        assert p_frobenius_scan(qd.gens, p) == expected
+        assert dp_scan(qd.gens, p)[0] == expected
+        assert scan_p_range(qd.gens, p)[p][0] == expected
     with pytest.raises(OutOfValidityRangeError):
         g_p_closed_quad(qd, 3)
-    assert p_frobenius_scan(qd.gens, 3) == 3075
+    assert dp_scan(qd.gens, 3)[0] == 3075
     assert discover_validity(qd, 5) == 2  # = b - beta
     _passed(3, "(17,125,449,1421) g_p=449p+1779 on p=0..2; p=3 out of range, oracle 3075, validity 2")
 
@@ -112,8 +110,8 @@ def test_criterion_4_two_generator_law():
             if math.gcd(a, b) != 1:
                 continue
             pairs += 1
-            for p in range(6):
-                assert p_frobenius_scan((a, b), p) == (p + 1) * a * b - a - b, (a, b, p)
+            for p, (g, _) in enumerate(scan_p_range((a, b), 5)):
+                assert g == (p + 1) * a * b - a - b, (a, b, p)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s, budget 10s"
     _passed(4, f"(p+1)ab-a-b holds for {pairs} coprime pairs, p=0..5, in {elapsed:.2f}s")
@@ -167,9 +165,8 @@ def test_criterion_6_apery_property_suite(corpus):
 
 def test_criterion_7_apery_route_consistency(corpus):
     for t, p in corpus:
-        assert p_frobenius_via_apery(t.gens, p) == p_frobenius_scan(t.gens, p)
-        assert p_sylvester_via_apery(t.gens, p) == p_sylvester_count(t.gens, p)
-    _passed(7, f"Apery-route g_p and n_p equal scan/count oracles on {len(corpus)} triples")
+        assert read_apery(t.gens, apery_set(t.gens, p)) == dp_scan(t.gens, p)
+    _passed(7, f"Apery-route g_p and n_p equal the DP scan on {len(corpus)} triples")
 
 
 def test_criterion_8_generator_identity():

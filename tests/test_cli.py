@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frobkit import FrobkitError, ResourceLimitError, cli, families, semigroup
+from frobkit import FrobkitError, cli, families, semigroup
 from frobkit.cli import main
-from frobkit.semigroup import TABLE_CAP_ENV, p_frobenius_scan, p_sylvester_count
+from frobkit.semigroup import TABLE_CAP_ENV, effective_table_cap
 
 from _cap import capped
+from _naive import dp_scan
 
 
 def run_cli(capsys, *argv):
@@ -123,7 +124,7 @@ class TestCompute:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "p_frobenius_via_apery", exhausted)
+        monkeypatch.setattr(cli, "apery_set", exhausted)
         code, _, err = run_cli(
             capsys,
             "compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
@@ -153,16 +154,25 @@ class TestCompute:
     @pytest.mark.parametrize(
         "argv, err",
         [
-            # (21, 61, 141): below the default cap a class holds at most
-            # 1639345 * 709220 (about 1.16 * 10^12) sums, so 10^20 is out of reach
+            # (21, 61, 141): below the default cap there are at most
+            # 1639345 * 709220 (about 1.16 * 10^12) sums, and 21 * (p + 1)
+            # are needed, so 10^20 and 10^12 are out of reach
             (["compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
               "--p", str(10**20), "--method", "oracle"],
              f"error: forward scan for p={10**20} exceeded table cap 100000000\n"),
+            (["compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
+              "--p", str(10**12), "--method", "oracle"],
+             f"error: forward scan for p={10**12} exceeded table cap 100000000\n"),
+            # (9999997, 99999997, 999999997): 2 sums below the cap, one per
+            # class of the 9999997 is needed
+            (["compute", "--a", "1", "--b", "10", "--c", "3", "--n", "7", "--p", "0",
+              "--method", "oracle", "--format", "json"],
+             "error: forward scan for p=0 exceeded table cap 100000000\n"),
             (["apery", "--gens", "2,3", "--p", str(10**20)],
              f"error: Apery scan for p={10**20} exceeded table cap 100000000 "
-             "(0/2 residue classes filled)\n"),
+             f"(at most 33333334 sums below the cap, {2 * (10**20 + 1)} needed)\n"),
         ],
-        ids=["compute", "apery"],
+        ids=["compute", "compute-1e12", "compute-n7", "apery"],
     )
     def test_unreachable_p_at_the_default_cap_exits_3_at_once(self, argv, err):
         # a pass filling classes toward p + 1 sums would not end, so run main
@@ -208,19 +218,19 @@ class TestComputeReadsTheEngine:
         a, b, c, n, k = family
         make = families.make_triple if k == 3 else families.make_quad
         gens = make(a, b, c, n).gens
-        scan = p_frobenius_scan if quantity == "frobenius" else p_sylvester_count
+        g_p, n_p = dp_scan(gens, p)
         argv = ["compute", "--a", str(a), "--b", str(b), f"--c={c}", "--n", str(n),
                 "--vars", str(k), "--p", str(p), "--quantity", quantity,
                 "--method", "oracle", "--format", "json"]
         with capped(cap):
-            try:
-                want = scan(gens, p)
-            except ResourceLimitError as exc:
-                assert run_captured(argv) == (3, "", f"error: {exc}\n")
-                return
+            limit = effective_table_cap()
             code, out, err = run_captured(argv)
+        if g_p + gens.a1 >= limit:  # the largest p-Apery element is at the cap
+            error = f"error: forward scan for p={p} exceeded table cap {limit}\n"
+            assert (code, out, err) == (3, "", error)
+            return
         assert (code, err) == (0, "")
-        assert json.loads(out)["oracle"] == str(want)
+        assert json.loads(out)["oracle"] == str(g_p if quantity == "frobenius" else n_p)
 
 
 class TestParserCache:
@@ -273,7 +283,7 @@ class TestApery:
         assert (code, out) == (3, "")
         assert err == (
             "error: Apery scan for p=0 exceeded table cap 1000 "
-            "(1/2000003 residue classes filled)\n"
+            "(at most 1 sums below the cap, 2000003 needed)\n"
         )
 
     def test_missing_input_exits_2(self, capsys):
@@ -349,7 +359,7 @@ class TestApery:
         assert (code, out) == (3, "")
         assert err == (
             "error: Apery scan for p=0 exceeded table cap 1000 "
-            "(1/1999999 residue classes filled)\n"
+            "(at most 1 sums below the cap, 1999999 needed)\n"
         )
         assert peak < 1_000_000
 
@@ -485,7 +495,7 @@ class TestVerify:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert (len(rows), rows[-1]["p"], rows[-1]["g"]) == (2001, "2000", "730")
-        assert p_frobenius_scan((3, 5, 9), 2000) == 730
+        assert dp_scan((3, 5, 9), 2000)[0] == 730
         code, out, err = run_cli(capsys, "verify", "--a-range", "1..1", "--b-range", "2..2",
                                  "--c-range=-1..-1", "--n-range", "1..1", "--p-policy", "2000")
         assert (code, out, err) == (3, "", "error: fixed p_policy 2000 >= table cap 2000\n")
@@ -594,7 +604,7 @@ class TestTable:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         gens = (23, 59, 167, 491)
         assert [[int(r[0]), int(r[1]), int(r[3])] for r in rows] == [
-            [p, p_frobenius_scan(gens, p), p_sylvester_count(gens, p)] for p in range(4)
+            [p, *dp_scan(gens, p)] for p in range(4)
         ]
         assert all(r[2] == r[4] == "oracle" for r in rows)
 

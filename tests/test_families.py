@@ -20,23 +20,21 @@ from frobkit import (
     UnsupportedCaseError,
     apery_grid_triple,
     apery_set,
-    closed_form_case,
     closed_value,
     denumerant_table,
-    digit_decompose,
     g_p_closed_quad,
     g_p_closed_triple,
     g_p_two_gens,
     make_quad,
     make_triple,
     n_p_closed_triple,
-    p_frobenius_scan,
-    p_sylvester_count,
     scan_p_range,
     verify_grid,
 )
 from frobkit.errors import FrobkitError
 from frobkit.families import CLOSED_ERROR_TAGS, case_tag, grid_digits, past_digit_limit
+
+from _naive import dp_scan
 
 
 def random_positive_triples(count, seed, a_max=4, b_max=4, n_max=2):
@@ -55,7 +53,7 @@ def random_positive_triples(count, seed, a_max=4, b_max=4, n_max=2):
             t = make_triple(a, b, c, n)
         except FrobkitError:
             continue
-        out.append((t, rng.randint(0, digit_decompose(t)[0])))
+        out.append((t, rng.randint(0, t.digits[0])))
     return out
 
 
@@ -119,11 +117,10 @@ class TestFamilyValue:
         assert sum(map(lambda d, w: d * w, digits, weights)) == fam.gens.a1
         for j in range(1, k - 1):  # each lower tail stays below the weight above it
             assert sum(d * w for d, w in zip(digits[j:], weights[j:])) < weights[j - 1]
-        assert digit_decompose(fam) == digits
         assert fam.stated_p_max == (digits[0] if k == 3 else b - digits[1])
         if k == 3 and c < 0:
             want = reference_case(a, b, c, n, digits[1])
-            assert fam.case == closed_form_case(fam) == want
+            assert fam.case == want
         else:
             assert fam.case is None
 
@@ -214,13 +211,13 @@ class TestPastDigitLimit:
 
 class TestQRDecompose:
     def test_golden(self):
-        assert digit_decompose(make_triple(5, 2, 19, 3)) == (7, 0)
+        assert make_triple(5, 2, 19, 3).digits == (7, 0)
 
     def test_negative_shift(self):
-        assert digit_decompose(make_triple(4, 3, -1, 1)) == (3, 1)
+        assert make_triple(4, 3, -1, 1).digits == (3, 1)
 
     def test_exact_division(self):
-        assert digit_decompose(make_triple(1, 2, -1, 1)) == (1, 0)
+        assert make_triple(1, 2, -1, 1).digits == (1, 0)
 
     @given(
         st.integers(1, 30),
@@ -234,7 +231,7 @@ class TestQRDecompose:
             t = make_triple(a, b, c, n)
         except FrobkitError:
             return
-        q, r = digit_decompose(t)
+        q, r = t.digits
         assert t.gens.gens[0] == (b + 1) * q + r
         assert 0 <= r <= b
 
@@ -252,13 +249,13 @@ class TestClosedTriple:
 
     def test_case4_small(self):
         t = make_triple(1, 2, -5, 1)  # gens (7, 9, 13), q=2, r=1, c0=5 > 4
-        assert closed_form_case(t) == 4
+        assert t.case == 4
         assert g_p_closed_triple(t, 0) == 24
 
     def test_positive_r_branch(self):
         t = make_triple(3, 2, 1, 2)  # gens (11, 23, 47), q=3, r=2
         assert g_p_closed_triple(t, 0) == 153
-        assert p_frobenius_scan(t.gens, 0) == 153
+        assert dp_scan(t.gens, 0)[0] == 153
 
     def test_out_of_validity(self):
         t = make_triple(5, 2, 19, 3)
@@ -269,10 +266,10 @@ class TestClosedTriple:
         # the case-4 position x3 = q-p-1 does not exist at p = q; the scan
         # oracle confirms the formula value would be wrong there
         t = make_triple(1, 2, -5, 1)
-        q = digit_decompose(t)[0]
+        q = t.digits[0]
         with pytest.raises(OutOfValidityRangeError):
             g_p_closed_triple(t, q)
-        assert g_p_closed_triple(t, q - 1) == p_frobenius_scan(t.gens, q - 1)
+        assert g_p_closed_triple(t, q - 1) == dp_scan(t.gens, q - 1)[0]
 
     def test_no_case_surfaces(self):
         t = make_triple(1, 3, -100, 1)  # gens (103, 109, 127), r = b
@@ -281,7 +278,7 @@ class TestClosedTriple:
 
     def test_strictly_increasing_in_p(self):
         for t, _ in random_positive_triples(20, seed=404):
-            q = digit_decompose(t)[0]
+            q = t.digits[0]
             values = [g_p_closed_triple(t, p) for p in range(q + 1)]
             assert all(x < y for x, y in zip(values, values[1:]))
 
@@ -289,23 +286,25 @@ class TestClosedTriple:
 class TestCaseSelector:
     def test_case2_example(self):
         t = make_triple(4, 3, -1, 1)  # r = 1, a*b^(n+1) = 36, c0 = 1
-        assert digit_decompose(t)[1] == 1
-        assert closed_form_case(t) == 2
+        assert t.digits[1] == 1
+        assert t.case == 2
 
     def test_case4_example(self):
         # r = 1, so (b - r) * c0 = 5 exceeds (b - r) * a * b^(n+1) = 4
         t = make_triple(1, 2, -5, 1)
-        assert digit_decompose(t)[1] == 1
-        assert closed_form_case(t) == 4
+        assert t.digits[1] == 1
+        assert t.case == 4
 
     def test_no_case_at_r_equals_b(self):
         t = make_triple(1, 3, -100, 1)
-        assert digit_decompose(t)[1] == t.b
-        assert closed_form_case(t) is None
+        assert t.digits[1] == t.b
+        assert t.case is None
 
-    def test_rejects_positive_c(self):
-        with pytest.raises(InvalidInputError):
-            closed_form_case(make_triple(5, 2, 19, 3))
+    def test_no_case_field_for_positive_c(self):
+        # the field covers c < 0 triples; c > 0 reads its case from the digits
+        t = make_triple(5, 2, 19, 3)
+        assert t.digits == (7, 0)
+        assert t.case is None
 
     @given(
         st.integers(1, 20),
@@ -319,7 +318,7 @@ class TestCaseSelector:
             t = make_triple(a, b, -c0, n)  # its case assertion fires on overlap
         except FrobkitError:
             return
-        closed_form_case(t)
+        assert t.case in (None, 1, 2, 3, 4)
 
     def test_each_selected_case_matches_oracle(self):
         # exercise every branch id against the scan oracle at p <= 1
@@ -336,12 +335,12 @@ class TestCaseSelector:
                 continue
             if t.gens.a1 > 500:
                 continue
-            cid = closed_form_case(t)
+            cid = t.case
             if cid is None or cid in seen:
                 continue
             for p in (0, 1):
                 try:
-                    assert g_p_closed_triple(t, p) == p_frobenius_scan(t.gens, p)
+                    assert g_p_closed_triple(t, p) == dp_scan(t.gens, p)[0]
                 except OutOfValidityRangeError:
                     pass
             seen.add(cid)
@@ -361,7 +360,7 @@ class TestRefusalsWhereWrong:
     )
     def test_case4_refuses_where_wrong(self, abcn, wrong_ps):
         t = make_triple(*abcn)
-        assert closed_form_case(t) == 4
+        assert t.case == 4
         for p in wrong_ps:
             with pytest.raises(OutOfValidityRangeError, match="case-4 range"):
                 g_p_closed_triple(t, p)
@@ -372,7 +371,7 @@ class TestRefusalsWhereWrong:
     )
     def test_checked_range_ends(self, abcn, case, last):
         t = make_triple(*abcn)
-        assert closed_form_case(t) == case
+        assert t.case == case
         rows = scan_p_range(t.gens, last)
         assert [g_p_closed_triple(t, p) for p in range(last + 1)] == [
             g for g, _ in rows
@@ -384,11 +383,11 @@ class TestRefusalsWhereWrong:
         # alpha = 18, beta = 1, gamma = 2: at p = b - beta the maximum sits
         # at (gamma - 2, 0, alpha + 1), so g_1 = 19*1083 - 131
         qd = make_quad(34, 2, 5, 2)
-        assert digit_decompose(qd) == (18, 1, 2)
+        assert qd.digits == (18, 1, 2)
         assert g_p_closed_quad(qd, 1) == scan_p_range(qd.gens, 1)[1][0] == 20446
         # alpha = 0: no four-term row holds past p = 0
         qd = make_quad(2, 2, 3, 2)
-        assert digit_decompose(qd)[0] == 0
+        assert qd.digits[0] == 0
         with pytest.raises(OutOfValidityRangeError, match="alpha=0"):
             g_p_closed_quad(qd, 1)
 
@@ -407,7 +406,7 @@ class TestSylvesterClosed:
 
     def test_matches_count_oracle(self):
         t = make_triple(3, 2, 1, 2)
-        assert n_p_closed_triple(t, 0) == p_sylvester_count(t.gens, 0) == 80
+        assert n_p_closed_triple(t, 0) == dp_scan(t.gens, 0)[1] == 80
 
     def test_negative_shift_unsupported(self):
         with pytest.raises(UnsupportedCaseError):
@@ -419,7 +418,7 @@ class TestSylvesterClosed:
 
     def test_matches_oracle_on_random_corpus(self):
         for t, p in random_positive_triples(20, seed=808):
-            assert n_p_closed_triple(t, p) == p_sylvester_count(t.gens, p)
+            assert n_p_closed_triple(t, p) == dp_scan(t.gens, p)[1]
 
 
 class TestAperyGrid:
@@ -465,7 +464,7 @@ class TestAperyGrid:
 
     def test_grid_digits_are_the_triple_digits(self):
         for t, p in random_positive_triples(25, seed=808):
-            assert grid_digits(t, p) == digit_decompose(t)
+            assert grid_digits(t, p) == t.digits
 
     def test_residues_are_a_permutation(self):
         for t, p in random_positive_triples(25, seed=505):
@@ -500,15 +499,15 @@ class TestMakeQuadAndDigits:
             make_quad(2, 2, 2, 1)
 
     def test_digits_golden(self):
-        assert digit_decompose(make_quad(2, 3, 37, 3)) == (1, 1, 0)
+        assert make_quad(2, 3, 37, 3).digits == (1, 1, 0)
 
     def test_digits_exact_block(self):
         # 7 = 1*7 + 0*3 + 0
-        assert digit_decompose(make_quad(1, 2, 1, 3)) == (1, 0, 0)
+        assert make_quad(1, 2, 1, 3).digits == (1, 0, 0)
 
     def test_digits_second_example(self):
         # 15 = 2*7 + 0*3 + 1
-        assert digit_decompose(make_quad(2, 2, 1, 3)) == (2, 0, 1)
+        assert make_quad(2, 2, 1, 3).digits == (2, 0, 1)
 
     @given(
         st.integers(1, 30),
@@ -522,7 +521,7 @@ class TestMakeQuadAndDigits:
             qd = make_quad(a, b, c, n)
         except FrobkitError:
             return
-        alpha, beta, gamma = digit_decompose(qd)
+        alpha, beta, gamma = qd.digits
         head = qd.gens.gens[0]
         assert head == alpha * (b * b + b + 1) + beta * (b + 1) + gamma
         assert 0 <= beta * (b + 1) + gamma <= b * b + b
@@ -539,7 +538,7 @@ class TestClosedQuad:
         qd = make_quad(2, 3, 37, 3)
         with pytest.raises(OutOfValidityRangeError):
             g_p_closed_quad(qd, 3)
-        assert p_frobenius_scan(qd.gens, 3) == 3075
+        assert dp_scan(qd.gens, 3)[0] == 3075
         assert 2 * 125 + 2 * 1421 - 17 == 3075
 
     def test_negative_shift_unsupported(self):
@@ -550,16 +549,16 @@ class TestClosedQuad:
         # 3 = 0*7 + 1*3 + 0: the gamma=0 branch still evaluates correctly
         qd = make_quad(1, 2, 1, 2)
         assert g_p_closed_quad(qd, 0) == 11
-        assert p_frobenius_scan(qd.gens, 0) == 11
+        assert dp_scan(qd.gens, 0)[0] == 11
 
     def test_known_early_breakdown(self):
         # the four-term pattern can break before b - beta: (5, 11, 23, 47)
         # has alpha = 0, where the form holds only at p = 0, so p = 1 refuses
         qd = make_quad(3, 2, 1, 1)
-        assert g_p_closed_quad(qd, 0) == p_frobenius_scan(qd.gens, 0)
+        assert g_p_closed_quad(qd, 0) == dp_scan(qd.gens, 0)[0]
         with pytest.raises(OutOfValidityRangeError):
             g_p_closed_quad(qd, 1)
-        assert p_frobenius_scan(qd.gens, 1) == 42
+        assert dp_scan(qd.gens, 1)[0] == 42
 
     def test_strictly_increasing_in_p(self):
         qd = make_quad(2, 3, 37, 3)
@@ -594,7 +593,7 @@ class TestClosedValue:
 
     def test_term_count_is_checked(self):
         t, qd = make_triple(5, 2, 19, 3), make_quad(2, 3, 37, 3)
-        assert (len(digit_decompose(t)), len(digit_decompose(qd))) == (2, 3)
+        assert (len(t.digits), len(qd.digits)) == (2, 3)
         for fn, fam in (
             (g_p_closed_triple, qd),
             (n_p_closed_triple, qd),
@@ -603,8 +602,6 @@ class TestClosedValue:
         ):
             with pytest.raises(InvalidInputError, match="-term family"):
                 fn(fam, 0)
-        with pytest.raises(InvalidInputError, match="3-term family"):
-            closed_form_case(make_quad(2, 3, -5, 2))
 
 
 class TestTwoGenerators:
@@ -615,7 +612,7 @@ class TestTwoGenerators:
         assert g_p_two_gens(3, 5, 1) == 22
 
     def test_matches_scan(self):
-        assert g_p_two_gens(2, 3, 2) == 13 == p_frobenius_scan((2, 3), 2)
+        assert g_p_two_gens(2, 3, 2) == 13 == dp_scan((2, 3), 2)[0]
 
     def test_gcd_not_one(self):
         with pytest.raises(GcdNotOneError):

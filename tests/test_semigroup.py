@@ -1,4 +1,4 @@
-"""Core engine tests: denumerants, Apery sets, and the two oracle routes."""
+"""Core engine tests: denumerants, Apery sets, and the engine against the DP."""
 
 import copy
 import inspect
@@ -22,20 +22,16 @@ from frobkit import (
     denumerant,
     denumerant_table,
     discover_validity,
-    gcd_of,
     make_triple,
-    p_frobenius_scan,
-    p_frobenius_via_apery,
-    p_sylvester_count,
-    p_sylvester_via_apery,
     scan_p_range,
     verify_grid,
 )
 from frobkit import cli, semigroup
-from frobkit.semigroup import TABLE_CAP_ENV, effective_table_cap
+from frobkit.semigroup import TABLE_CAP_ENV, effective_table_cap, read_apery
 
 from _cap import capped
 from _naive import (
+    dp_scan,
     naive_counts,
     naive_denumerant,
     naive_g_p,
@@ -44,31 +40,18 @@ from _naive import (
 )
 
 
+def apery_row(gens, p: int) -> tuple[int, int]:
+    """(g_p, n_p) read from apery_set, as `compute --method oracle` reads them."""
+    gt = GeneratorTuple(tuple(gens))
+    return read_apery(gt, apery_set(gt, p))
+
+
 def small_generator_tuples() -> st.SearchStrategy[GeneratorTuple]:
     return (
         st.lists(st.integers(2, 24), min_size=2, max_size=3, unique=True)
         .filter(lambda gs: math.gcd(*gs) == 1)
         .map(lambda gs: GeneratorTuple(tuple(gs)))
     )
-
-
-class TestGcdOf:
-    def test_golden_triple(self):
-        assert gcd_of([21, 61, 141]) == 1
-
-    def test_single_element(self):
-        assert gcd_of([7]) == 7
-
-    def test_golden_quad(self):
-        assert gcd_of([17, 125, 449, 1421]) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            gcd_of([])
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(InvalidInputError):
-            gcd_of([3, 0])
 
 
 class TestGeneratorTuple:
@@ -84,6 +67,18 @@ class TestGeneratorTuple:
     def test_gcd_must_be_one(self):
         with pytest.raises(GcdNotOneError):
             GeneratorTuple((4, 6))
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInputError):
+            GeneratorTuple(())
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(InvalidInputError):
+            GeneratorTuple((3, 0))
+
+    @pytest.mark.parametrize("gens", [(21, 61, 141), (17, 125, 449, 1421)])
+    def test_golden_tuples_accepted(self, gens):
+        assert GeneratorTuple(gens).gens == gens
 
     def test_value_semantics(self):
         gt = GeneratorTuple((9, 4, 9, 7))
@@ -189,6 +184,21 @@ class TestTableCap:
                 assert "table_cap" not in inspect.signature(obj).parameters, name
 
 
+class TestPublicNames:
+    def test_one_oracle_api(self):
+        # g_p and n_p come from scan_p_range and apery_set alone.
+        assert sorted(frobkit.__all__) == [
+            "DEFAULT_TABLE_CAP", "FrobkitError", "GcdNotOneError", "GeneratorTuple",
+            "InvalidInputError", "NoClosedFormCaseError", "OutOfValidityRangeError",
+            "PointResult", "ResourceLimitError", "ShiftedGeometricFamily", "SweepSpec",
+            "SweepSummary", "UnsupportedCaseError", "VerificationReport",
+            "apery_grid_triple", "apery_set", "closed_value", "denumerant",
+            "denumerant_table", "discover_validity", "g_p_closed_quad",
+            "g_p_closed_triple", "g_p_two_gens", "make_quad", "make_triple",
+            "n_p_closed_triple", "scan_p_range", "verify_grid", "verify_point",
+        ]
+
+
 class TestAperySet:
     def test_two_three_p0(self):
         assert apery_set((2, 3), 0) == (0, 3)
@@ -202,6 +212,21 @@ class TestAperySet:
     def test_cap_breach(self):
         with capped(4), pytest.raises(ResourceLimitError):
             apery_set((2, 3), 1)
+
+    @given(small_generator_tuples(), st.integers(0, 8), st.integers(1, 200))
+    @settings(max_examples=200, deadline=None)
+    @example(GeneratorTuple((2, 3)), 3, 20)  # 7 sums below 20, 8 needed
+    @example(GeneratorTuple((5, 7)), 0, 5)  # a1 >= cap
+    def test_up_front_refusal_only_where_the_pass_fails(self, gt, p, cap):
+        with capped(cap):
+            try:
+                apery_set(gt, p)
+                return
+            except ResourceLimitError as exc:
+                if "sums below the cap" not in str(exc):
+                    return
+        lists = semigroup._residue_sums(gt, p, cap)
+        assert sum(len(bucket) > p for bucket in lists) < gt.a1
 
     @given(small_generator_tuples(), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -220,22 +245,23 @@ class TestAperySet:
 
 class TestFrobeniusRoutes:
     def test_classic_two_three(self):
-        assert p_frobenius_via_apery((2, 3), 0) == 1
-        assert p_frobenius_scan((2, 3), 1) == 7
-        assert p_frobenius_via_apery((2, 3), 1) == 7
+        assert apery_row((2, 3), 0)[0] == 1
+        assert dp_scan((2, 3), 1)[0] == 7
+        assert apery_row((2, 3), 1)[0] == 7
 
     def test_golden_values(self):
-        assert p_frobenius_via_apery((21, 61, 141), 0) == 947
-        assert p_frobenius_scan((13, 37, 109), 0) == 316
+        assert apery_row((21, 61, 141), 0)[0] == 947
+        assert scan_p_range((13, 37, 109), 0)[0][0] == 316
 
     def test_seven_nine_thirteen(self):
         assert naive_g_p((7, 9, 13), 0) == 24
-        assert p_frobenius_scan((7, 9, 13), 0) == 24
+        assert dp_scan((7, 9, 13), 0)[0] == 24
+        assert scan_p_range((7, 9, 13), 0)[0][0] == 24
 
     @given(small_generator_tuples(), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_apery_route_equals_scan_route(self, gt, p):
-        assert p_frobenius_via_apery(gt, p) == p_frobenius_scan(gt, p)
+        assert apery_row(gt, p)[0] == dp_scan(gt, p)[0]
 
     @given(small_generator_tuples(), st.integers(0, 2))
     @settings(max_examples=25, deadline=None)
@@ -243,42 +269,43 @@ class TestFrobeniusRoutes:
         # strictness can fail when a redundant generator skips a count level
         # (e.g. (2,3,12) has g_2 = g_3 = 13), so assert the provable <=;
         # strict growth of the closed forms is covered in test_families
-        assert p_frobenius_scan(gt, p) <= p_frobenius_scan(gt, p + 1)
-        assert p_sylvester_count(gt, p) <= p_sylvester_count(gt, p + 1)
+        (g, n), (g_next, n_next) = scan_p_range(gt, p + 1)[p:]
+        assert g <= g_next
+        assert n <= n_next
 
     def test_strictly_monotone_without_redundancy(self):
         for gens in ((7, 9, 13), (11, 23, 47), (21, 61, 141)):
-            values = [p_frobenius_scan(gens, p) for p in range(4)]
+            values = [g for g, _ in scan_p_range(gens, 3)]
             assert all(x < y for x, y in zip(values, values[1:]))
 
 
 class TestSylvesterRoutes:
     def test_classic_two_three(self):
-        assert p_sylvester_via_apery((2, 3), 0) == 1
-        assert p_sylvester_count((2, 3), 0) == 1
+        assert apery_row((2, 3), 0)[1] == 1
+        assert dp_scan((2, 3), 0)[1] == 1
 
     def test_two_three_p1(self):
         # low-count values are {0,1,2,3,4,5,7}: m = 0 counts since d(0) = 1
         assert naive_n_p((2, 3), 1) == 7
-        assert p_sylvester_via_apery((2, 3), 1) == 7
-        assert p_sylvester_count((2, 3), 1) == 7
+        assert apery_row((2, 3), 1)[1] == 7
+        assert dp_scan((2, 3), 1)[1] == 7
 
     def test_golden_values(self):
-        assert p_sylvester_via_apery((21, 61, 141), 0) == 474
-        assert p_sylvester_count((21, 61, 141), 7) == 3 * (158 + 60 * 7 - 49)
+        assert apery_row((21, 61, 141), 0)[1] == 474
+        assert scan_p_range((21, 61, 141), 7)[7][1] == 3 * (158 + 60 * 7 - 49)
 
     @given(small_generator_tuples(), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_apery_route_equals_count_route(self, gt, p):
-        assert p_sylvester_via_apery(gt, p) == p_sylvester_count(gt, p)
+        assert apery_row(gt, p)[1] == dp_scan(gt, p)[1]
 
 
 class TestScanTermination:
     @given(small_generator_tuples(), st.integers(0, 2))
     @settings(max_examples=25, deadline=None)
     def test_window_soundness(self, gt, p):
-        # every value beyond the scan's answer has more than p representations
-        g = p_frobenius_scan(gt, p)
+        # every value beyond the engine's g_p has more than p representations
+        g = scan_p_range(gt, p)[p][0]
         counts = denumerant_table(gt, g + 3 * gt.a1)
         assert counts[g] <= p
         assert all(c >= p + 1 for c in counts[g + 1 :])
@@ -288,8 +315,8 @@ class TestScanTermination:
             for b in range(a + 1, 9):
                 if math.gcd(a, b) != 1:
                     continue
-                for p in range(4):
-                    assert p_frobenius_scan((a, b), p) == (p + 1) * a * b - a - b
+                for p, (g, _) in enumerate(scan_p_range((a, b), 3)):
+                    assert g == (p + 1) * a * b - a - b
 
 
 def raw_generator_lists() -> st.SearchStrategy[list[int]]:
@@ -338,8 +365,8 @@ class TestScanPRange:
         rows = scan_p_range(raw, p_max)
         assert len(rows) == p_max + 1
         for p, row in enumerate(rows):
-            assert row == (p_frobenius_scan(raw, p), p_sylvester_count(raw, p))
-            assert row == (p_frobenius_via_apery(raw, p), p_sylvester_via_apery(raw, p))
+            assert row == dp_scan(raw, p)
+            assert row == apery_row(raw, p)
             assert row == (naive_g_p(gens, p), naive_n_p(gens, p))
 
     def test_cap_stops_high_p_only(self):
@@ -349,17 +376,15 @@ class TestScanPRange:
             rows = scan_p_range((2, 3), 5)
             assert rows[:3] == [(1, 1), (7, 7), (13, 13)]
             assert len(rows) == 3
-            assert p_frobenius_scan((2, 3), 2) == 13
-            with pytest.raises(ResourceLimitError):
-                p_frobenius_scan((2, 3), 3)
+            assert apery_row((2, 3), 2) == (13, 13)
             with pytest.raises(ResourceLimitError):
                 apery_set((2, 3), 3)
             with pytest.raises(ResourceLimitError):  # no per-p storage for a huge p
-                p_frobenius_scan((2, 3), 10**12)
+                apery_set((2, 3), 10**12)
         with capped(1):
             assert scan_p_range((2, 3), 0) == []  # the table is [1]
             with pytest.raises(ResourceLimitError):
-                p_sylvester_count((2, 3), 0)
+                apery_set((2, 3), 0)
 
     def test_huge_p_max_allocates_only_the_filled_rows(self):
         tracemalloc.start()
@@ -398,7 +423,7 @@ class TestScanPRange:
         assert rows == []
         assert str(info.value) == (
             "Apery scan for p=0 exceeded table cap 1000 "
-            "(1/2000003 residue classes filled)"
+            "(at most 1 sums below the cap, 2000003 needed)"
         )
         assert peak < 1_000_000
 
@@ -415,8 +440,14 @@ def dp_apery_reference(gens, p):
     """apery_set's entries, or its cap error, read from a denumerant table."""
     cap = effective_table_cap()
     a1 = gens[0]
-    with capped(None):  # g_p at the default cap
-        g_p = p_frobenius_scan(gens, p)
+    # Below the cap, x_i <= (cap - 1) // a_i for each generator but a1.
+    most = math.prod((cap - 1) // g + 1 for g in gens[1:])
+    if a1 * (p + 1) > most:
+        return ResourceLimitError, (
+            f"Apery scan for p={p} exceeded table cap {cap} "
+            f"(at most {most} sums below the cap, {a1 * (p + 1)} needed)"
+        )
+    g_p = dp_scan(gens, p)[0]
     bound = min(cap - 1, g_p + a1)  # the largest entry
     entries: dict[int, int] = {}
     for m, cnt in enumerate(denumerant_table(gens, bound)):
@@ -448,16 +479,10 @@ class TestResidueEngineCrossRoute:
             # never decreases, so the rows in reach form a prefix.
             assert rows == [(g, n) for g, n in naive if g + gens[0] < cap]
             for p, row in enumerate(naive):
-                for i, scan in enumerate((p_frobenius_scan, p_sylvester_count)):
-                    want = (
-                        (
-                            ResourceLimitError,
-                            f"forward scan for p={p} exceeded table cap {cap}",
-                        )
-                        if p >= len(rows)
-                        else row[i]
-                    )
-                    assert outcome(scan, raw, p) == want
+                g_p, n_p = dp_scan(gens, p)
+                assert (g_p, n_p) == row
+                # The stop rule, read off the uncapped DP.
+                assert (p < len(rows)) == (g_p + gens[0] < cap)
                 got = outcome(apery_set, raw, p)
                 assert got == dp_apery_reference(gens, p)
 
@@ -527,6 +552,3 @@ class TestEngineIsTheSweepRoute:
         assert verify_grid(SweepSpec((1, 3), (2, 4), (-10, 10), (1, 2))).passed()
         assert discover_validity(make_triple(40, 3, -7, 2), 40) == 40
         assert builds == []
-        # The forward scan stays the independent second route.
-        assert p_frobenius_scan((2, 3), 1) == 7
-        assert builds

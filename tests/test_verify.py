@@ -21,14 +21,15 @@ from frobkit import (
     g_p_two_gens,
     make_quad,
     make_triple,
-    p_frobenius_scan,
     scan_p_range,
     verify_grid,
     verify_point,
 )
 from frobkit import semigroup, verify
+from frobkit.semigroup import effective_table_cap
 
 from _cap import capped
+from _naive import dp_scan
 
 
 def summary_parts_sum(summary) -> int:
@@ -281,7 +282,11 @@ def reference_validity(params, p_max):
             value = closed(p)
         except FrobkitError:
             break
-        if value != p_frobenius_scan(gens, p):
+        g_p = dp_scan(gens.gens, p)[0]
+        cap = effective_table_cap()
+        if g_p + gens.a1 >= cap:  # scan_p_range stops before this row
+            raise ResourceLimitError(f"forward scan for p={p} exceeded table cap {cap}")
+        if value != g_p:
             break
         last_ok = p
     return last_ok
