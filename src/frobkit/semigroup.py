@@ -3,12 +3,11 @@
 Formula-free machinery for p-Apery sets, denumerants and the p-Frobenius and
 p-Sylvester numbers:
 
-- the residue-class engine (`_residue_sums`) pops sums of the generators
-  above a1 from a heap and keeps the p_max + 1 smallest of each class mod
-  a1. It gives every p-Apery set for p <= p_max in one pass, in
-  O((p_max + 1) * k * a1 * log) time whatever the size of g_p. It serves
-  `apery_set` and `scan_p_range`, the only routes to g_p and n_p, which
-  `read_apery` reads from an Apery set;
+- the residue-class pass (`_apery_pass`) pops sums of the generators above
+  a1 in increasing order and counts them per class mod a1, keeping the max
+  and sum of each order and one Apery set: O(a1 + p_max) ints, and
+  O((p_max + 1) * k * a1 * log) time whatever the size of g_p. `scan_p_range`
+  reads the rows and `apery_set` the set, the only routes to g_p and n_p;
 - the coin-counting DP count table (`_raw_counts`) serves the denumerants
   and the redundancy check.
 
@@ -27,7 +26,7 @@ from typing import Iterable
 from .errors import GcdNotOneError, InvalidInputError, ResourceLimitError
 
 #: Default table cap: the most entries of a DP count table, and the bound below
-#: which the residue-class engine keeps sums. FROBKIT_TABLE_CAP overrides it;
+#: which the residue-class engine counts sums. FROBKIT_TABLE_CAP overrides it;
 #: every function that checks the cap reads the variable on each call.
 DEFAULT_TABLE_CAP = 10**8
 TABLE_CAP_ENV = "FROBKIT_TABLE_CAP"
@@ -166,61 +165,61 @@ def check_p(p: int) -> None:
         raise InvalidInputError(f"p must be >= 0, got {p}")
 
 
-def _residue_sums(gt: GeneratorTuple, p_max: int, cap: int) -> list[list[int]]:
-    """Per class j mod a1, its p_max + 1 smallest sums below the table cap.
+def _apery_pass(
+    gt: GeneratorTuple, p_max: int, cap: int
+) -> tuple[list[int], list[int], list[int | None]]:
+    """(tops, sums, column) of one residue-class pass over the sums below the cap.
 
-    The sums are x2*g2 + ... + xk*gk over tuples of nonnegative x, counted
-    with multiplicity: d(m) counts the tuples whose sum is <= m and = m mod
-    a1, so the (p+1)-th smallest sum of class j is the order-p Apery element
-    of j. Sums pop from a heap in increasing order, and each multiset of
-    generators is reached once, by extending only with indices no smaller
+    The sums x2*g2 + ... + xk*gk pop from a heap in increasing order, each
+    multiset of generators once, by extending only with indices no smaller
     than its last (Nijenhuis's minimal paths, Amer. Math. Monthly 86, 1979).
-    A sum whose class already holds p_max + 1 sums is not extended: adding
-    the same generators to those smaller sums gives p_max + 1 smaller sums
-    in every class it leads to. A list shorter than p_max + 1 holds every
-    sum of its class below the cap.
+    With multiplicity, the (c+1)-th sum in class j mod a1 is j's order-c
+    Apery element; it sets tops[c] and adds to sums[c]. A class is full at
+    need = min(p_max + 1, `_most_sums` // a1) sums, the most every class can
+    hold, and a sum in a full class is not extended: the same steps from its
+    smaller sums land lower. The rows stop at the first order some class does
+    not fill; column[j] is j's need-th sum, None where j holds fewer.
 
-    When a1 >= cap, every sum but 0 is at least a2 > a1 >= cap, so class 0
-    holds [0] and the others nothing; the result then stops after class 1,
-    which stands for all of them, so that no a1-sized list is built.
-
-    A heap entry is one int, key = s << sh | last: the sum s and the index
-    last into rest = gens[1:] of the generator it ended with, with
-    sh = (k - 1).bit_length() for k = len(rest), so a pop reads s = key >> sh
-    and last = key & mask. Since 0 <= last < 2**sh, keys order as the
-    (s, last) pairs do; two generators give sh = 0 and key = s. The child
-    s + rest[i], i >= last, has key key + (rest[i] << sh) + (i - last); these
-    steps are built once per call, and the child is below the cap iff its
-    key is below cap << sh. A live root with a child below the cap is not
-    popped: heapreplace puts its first child in its place with one sift,
-    where a pop and a push take two. The root is popped when its class is
-    full or no child is below the cap.
+    A heap key is s << sh | last, last indexing the generator s ended with in
+    gens[1:]; a root with a child below the cap is replaced by it, one sift.
     """
-    if gt.a1 >= cap:
-        return [[0], []]
     a1, rest = gt.a1, gt.gens[1:]
-    k = len(rest)
-    sh = (k - 1).bit_length()
+    need = min(p_max + 1, _most_sums(gt, cap) // a1)
+    if not need:
+        return [], [], []
+    sh = (len(rest) - 1).bit_length()
     mask = (1 << sh) - 1
-    need = p_max + 1
     limit = cap << sh
-    # steps[last]: the key step to the child that adds rest[last], then those
-    # adding rest[i], i > last. Steps grow with i, as rest does, so the first
-    # child at or past the cap ends the children.
+    # steps[last]: the key steps adding rest[last], then rest[i] for i > last.
+    # Steps grow with i, as rest does, so the first child past the cap ends them.
     steps = [
         (rest[last] << sh, [(g << sh) + i - last for i, g in enumerate(rest) if i > last])
-        for last in range(k)
+        for last in range(len(rest))
     ]
-    found: list[list[int]] = [[] for _ in range(a1)]
-    open_classes = a1
+    tops: list[int] = []
+    sums: list[int] = []
+    counts = [0] * a1
+    column: list[int | None] = [None] * a1
+    open_classes, reached = a1, 0  # reached = len(tops), a local for speed
     heap = [0]
     while heap and open_classes:
         key = heap[0]
         s = key >> sh
-        bucket = found[s % a1]
-        if len(bucket) < need:
-            bucket.append(s)
-            open_classes -= len(bucket) == need
+        j = s % a1
+        c = counts[j]
+        if c < need:
+            if c < reached:
+                tops[c] = s
+                sums[c] += s
+            else:
+                tops.append(s)
+                sums.append(s)
+                reached += 1
+            c += 1
+            counts[j] = c
+            if c == need:
+                column[j] = s
+                open_classes -= 1
             first, others = steps[key & mask]
             t = key + first
             if t < limit:
@@ -232,35 +231,44 @@ def _residue_sums(gt: GeneratorTuple, p_max: int, cap: int) -> list[list[int]]:
                     heapq.heappush(heap, t)
                 continue
         heapq.heappop(heap)
-    return found
+    rows = min(counts)
+    return tops[:rows], sums[:rows], column
 
 
-def read_apery(gt: GeneratorTuple, entries: tuple[int, ...]) -> tuple[int, int]:
-    """(g_p, n_p) from a p-Apery set: max - a1 and sum/a1 - (a1-1)/2, exactly."""
-    a1 = gt.a1
-    n_p, rest = divmod(2 * sum(entries) - a1 * (a1 - 1), 2 * a1)
+def _most_sums(gt: GeneratorTuple, cap: int) -> int:
+    """The most sums below the cap in all classes: each x_i <= (cap - 1) // a_i."""
+    return math.prod((cap - 1) // g + 1 for g in gt.gens[1:])
+
+
+def _read_row(gt: GeneratorTuple, top: int, total: int) -> tuple[int, int]:
+    """(g_p, n_p) from the max and the sum of a p-Apery set, exactly."""
+    n_p, rest = divmod(2 * total - gt.a1 * (gt.a1 - 1), 2 * gt.a1)
     if rest:
         raise AssertionError(
             f"Apery-route p-Sylvester value is non-integral for {gt.gens}; "
             "the Apery set is corrupt"
         )
-    return max(entries) - a1, n_p
+    return top - gt.a1, n_p
+
+
+def read_apery(gt: GeneratorTuple, entries: tuple[int, ...]) -> tuple[int, int]:
+    """(g_p, n_p) from a p-Apery set: max - a1 and sum/a1 - (a1-1)/2, exactly."""
+    return _read_row(gt, max(entries), sum(entries))
 
 
 def scan_p_range(
     gens: GeneratorTuple | Iterable[int], p_max: int
 ) -> list[tuple[int, int]]:
-    """(g_p, n_p) for p = 0, 1, ..., from one residue-class pass.
+    """(g_p, n_p) for p = 0, 1, ..., read from the per-order max and sum of one pass.
 
-    Row p is `read_apery` of that p's Apery set, which is column p of the
-    engine's per-class lists. The rows stop at p_max or before the first p
-    the table cap stops (g_p + a1 >= cap), whichever comes first; g_p never
-    decreases as p grows. `require_row` reads them.
+    The rows stop at p_max or before the first p the table cap stops
+    (g_p + a1 >= cap), whichever comes first; g_p never decreases as p
+    grows. `require_row` reads them.
     """
     gt = as_generators(gens)
     check_p(p_max)
-    columns = zip(*_residue_sums(gt, p_max, effective_table_cap()))
-    return [read_apery(gt, column) for column in columns]
+    tops, sums, _ = _apery_pass(gt, p_max, effective_table_cap())
+    return [_read_row(gt, top, total) for top, total in zip(tops, sums)]
 
 
 def require_row(rows: list[tuple[int, int]], p: int) -> tuple[int, int]:
@@ -271,10 +279,7 @@ def require_row(rows: list[tuple[int, int]], p: int) -> tuple[int, int]:
 
 
 def cap_error(p: int) -> ResourceLimitError:
-    """The error for a p whose rows the table cap stops.
-
-    Its wording is part of the commands' stderr contract.
-    """
+    """The error for a p the table cap stops; its wording is a stderr contract."""
     cap = effective_table_cap()
     return ResourceLimitError(f"forward scan for p={p} exceeded table cap {cap}")
 
@@ -283,29 +288,22 @@ def apery_set(gens: GeneratorTuple | Iterable[int], p: int) -> tuple[int, ...]:
     """The order-p Apery set, indexed by residue mod a1, from one residue-class pass.
 
     Entry j is the least m = j mod a1 with d(m) >= p + 1; entry 0 is 0
-    exactly when p = 0.
-
-    A p that the classes cannot all reach below the cap is refused before the
-    pass. a1's multiplicity is fixed by the others, so the sums below the cap
-    are the tuples (x2, ..., xk) with each x_i <= (cap - 1) // a_i: at most
-    `most` of them over all classes together, and filling every class takes
-    a1 * (p + 1).
+    exactly when p = 0. A p is refused before the pass where filling every
+    class takes a1 * (p + 1) sums, more than `_most_sums` below the cap.
     """
     gt = as_generators(gens)
     check_p(p)
     cap = effective_table_cap()
-    most = math.prod((cap - 1) // g + 1 for g in gt.gens[1:])
-    need = gt.a1 * (p + 1)
-    if need > most:
+    most = _most_sums(gt, cap)
+    if gt.a1 * (p + 1) > most:
         raise ResourceLimitError(
             f"Apery scan for p={p} exceeded table cap {cap} "
-            f"(at most {most} sums below the cap, {need} needed)"
+            f"(at most {most} sums below the cap, {gt.a1 * (p + 1)} needed)"
         )
-    lists = _residue_sums(gt, p, cap)
-    filled = sum(len(bucket) > p for bucket in lists)
-    if filled < gt.a1:
+    column = _apery_pass(gt, p, cap)[2]
+    if None in column:
         raise ResourceLimitError(
             f"Apery scan for p={p} exceeded table cap {cap} "
-            f"({filled}/{gt.a1} residue classes filled)"
+            f"({gt.a1 - column.count(None)}/{gt.a1} residue classes filled)"
         )
-    return tuple(bucket[p] for bucket in lists)
+    return tuple(column)

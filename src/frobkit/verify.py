@@ -26,7 +26,8 @@ from .families import (
     make_triple,
     past_digit_limit,
 )
-from .semigroup import GeneratorTuple, effective_table_cap, require_row, scan_p_range
+from .semigroup import GeneratorTuple, check_p, effective_table_cap
+from .semigroup import require_row, scan_p_range
 
 #: Tuples whose minimum generator exceeds this are skipped to keep sweeps cheap.
 DEFAULT_MIN_GEN_CAP = 20000
@@ -258,6 +259,7 @@ def discover_validity(
     when the closed form already fails at p = 0. One oracle pass checks the
     closed form at every p up to its first refusal.
     """
+    check_p(p_max)
     if isinstance(params, ShiftedGeometricFamily):
         gens = params.gens
         closed = partial(closed_value, params, "frobenius")

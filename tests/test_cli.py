@@ -324,7 +324,7 @@ class TestApery:
         def engine(*args):
             raise AssertionError("the engine ran for a --grid request that must fail")
 
-        monkeypatch.setattr(semigroup, "_residue_sums", engine)
+        monkeypatch.setattr(semigroup, "_apery_pass", engine)
         code, out, err = run_cli(capsys, "apery", *argv, "--grid")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

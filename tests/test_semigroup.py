@@ -225,8 +225,12 @@ class TestAperySet:
             except ResourceLimitError as exc:
                 if "sums below the cap" not in str(exc):
                     return
-        lists = semigroup._residue_sums(gt, p, cap)
+        # The pass drops orders by the same bound, so the brute force counts
+        # the classes that fill; the pass must then stop its rows before p.
+        lists = naive_residue_sums(gt.gens, p, cap)
         assert sum(len(bucket) > p for bucket in lists) < gt.a1
+        tops, sums, _ = semigroup._apery_pass(gt, p, cap)
+        assert len(tops) == len(sums) <= p
 
     @given(small_generator_tuples(), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -404,7 +408,7 @@ class TestScanPRange:
     def test_non_integral_n_p_is_an_error_not_a_floor(self, monkeypatch):
         # An Apery column sums to a1(a1 - 1)/2 mod a1; (0, 4) sums to 0 mod 2,
         # where 1 is due, and flooring would give n_0 = 1.
-        monkeypatch.setattr(semigroup, "_residue_sums", lambda gt, p_max, cap: [[0], [4]])
+        monkeypatch.setattr(semigroup, "_apery_pass", lambda gt, p_max, cap: ([4], [4], [0, 4]))
         with pytest.raises(AssertionError, match="non-integral"):
             scan_p_range((2, 3), 0)
 
@@ -426,6 +430,36 @@ class TestScanPRange:
             "(at most 1 sums below the cap, 2000003 needed)"
         )
         assert peak < 1_000_000
+
+    def test_large_a1_holds_no_per_class_lists(self):
+        # 171 orders of 511 classes are 87,381 Apery elements; the pass keeps
+        # two ints per order and two per class.
+        gens = make_triple(1, 2, 1, 9).gens  # (511, 1023, 2047)
+        tracemalloc.start()
+        try:
+            rows = scan_p_range(gens, 170)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+        assert len(rows) == 171
+        assert rows[0] == dp_scan(gens.gens, 0) == (347479, 174080)
+        assert rows[17] == (382278, 225335)
+        assert rows[170] == dp_scan(gens.gens, 170) == (695469, 608600)
+
+    def test_unfillable_classes_allocate_nothing(self):
+        # Under the default cap at most 10 sums of a2 and a3 lie below it,
+        # so no order fills the 1000003 classes and none is kept.
+        gens = (1000003, 10000003, 100000003)
+        tracemalloc.start()
+        try:
+            with capped(None):
+                rows = scan_p_range(gens, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == []
+        assert peak < 1024 * 1024
 
 
 def outcome(fn, *args, **kwargs):
@@ -487,8 +521,27 @@ class TestResidueEngineCrossRoute:
                 assert got == dp_apery_reference(gens, p)
 
 
+def pass_from_lists(gens: tuple[int, ...], p_max: int, cap: int):
+    """What `_apery_pass` returns, read off the brute-force per-class lists.
+
+    Rows run to the shortest list; row c holds the max and the sum of the
+    lists' entries c. A class is full at need sums, the most that every
+    class could hold below the cap, and then gives its need-th sum.
+    """
+    lists = naive_residue_sums(gens, p_max, cap)
+    rows = min(map(len, lists))
+    tops = [max(bucket[c] for bucket in lists) for c in range(rows)]
+    sums = [sum(bucket[c] for bucket in lists) for c in range(rows)]
+    most = math.prod((cap - 1) // g + 1 for g in gens[1:])
+    need = min(p_max + 1, most // gens[0])
+    if not need:
+        return [], [], []
+    column = [bucket[need - 1] if len(bucket) >= need else None for bucket in lists]
+    return tops, sums, column
+
+
 class TestResidueSumsContract:
-    """The lists the engine returns, not only the rows read from them."""
+    """The pass's per-order rows and column, not only the values read from them."""
 
     @given(
         st.lists(st.integers(2, 40), min_size=2, max_size=7).filter(
@@ -511,24 +564,30 @@ class TestResidueSumsContract:
     @settings(max_examples=300, deadline=None)
     def test_equals_the_brute_force(self, raw, p_max, cap):
         gens = GeneratorTuple(tuple(raw))
-        want = [[0], []] if gens.a1 >= cap else naive_residue_sums(gens.gens, p_max, cap)
-        assert semigroup._residue_sums(gens, p_max, cap) == want
+        got = semigroup._apery_pass(gens, p_max, cap)
+        assert got == pass_from_lists(gens.gens, p_max, cap)
+        assert len(got[0]) <= p_max + 1
 
     @pytest.mark.parametrize(
         "gens, p_max, cap, want",
         [
-            ((2, 3), 3, semigroup.DEFAULT_TABLE_CAP, [[0, 6, 12, 18], [3, 9, 15, 21]]),
-            ((2, 3), 3, 9, [[0, 6], [3]]),  # 9 is at the cap: dropped
-            ((2, 3), 3, 10, [[0, 6], [3, 9]]),  # 9 is just below it: kept
-            ((5, 7), 0, 5, [[0], []]),  # a1 >= cap: class 1 stands for all
-            ((5, 7), 0, 6, [[0], [], [], [], []]),
-            ((3, 5, 7), 8, 12, [[0], [7, 10], [5]]),  # no class fills
-            # 15 = 3+3+3+3+3 = 5+5+5 comes twice
-            ((2, 3, 5), 6, 16, [[0, 6, 8, 10, 12, 14], [3, 5, 9, 11, 13, 15, 15]]),
+            # lists [[0, 6, 12, 18], [3, 9, 15, 21]]
+            ((2, 3), 3, semigroup.DEFAULT_TABLE_CAP, ([3, 9, 15, 21], [3, 15, 27, 39], [18, 21])),
+            # 9 is at the cap, dropped: lists [[0, 6], [3]], and 3 sums fill one order
+            ((2, 3), 3, 9, ([3], [3], [0, 3])),
+            ((2, 3), 3, 10, ([3, 9], [3, 15], [6, 9])),  # 9 is just below it: kept
+            ((5, 7), 0, 5, ([], [], [])),  # a1 >= cap: one sum, 0, lies below it
+            ((5, 7), 0, 6, ([], [], [])),  # lists [[0], [], [], [], []]
+            # lists [[0], [7, 10], [5]]: no class reaches p_max = 8
+            ((3, 5, 7), 8, 12, ([7], [12], [None, 10, None])),
+            # 15 = 3+3+3+3+3 = 5+5+5 comes twice: lists
+            # [[0, 6, 8, 10, 12, 14], [3, 5, 9, 11, 13, 15, 15]]
+            ((2, 3, 5), 6, 16, ([3, 6, 9, 11, 13, 15], [3, 11, 17, 21, 25, 29], [None, 15])),
         ],
     )
     def test_examples(self, gens, p_max, cap, want):
-        assert semigroup._residue_sums(GeneratorTuple(gens), p_max, cap) == want
+        assert semigroup._apery_pass(GeneratorTuple(gens), p_max, cap) == want
+        assert pass_from_lists(gens, p_max, cap) == want
 
 
 class TestEngineIsTheSweepRoute:

@@ -261,9 +261,19 @@ class TestDiscoverValidity:
         with pytest.raises(InvalidInputError):
             discover_validity((2, 3, 5), 3)
 
+    def test_rejects_negative_p_max_for_a_family(self):
+        with pytest.raises(InvalidInputError, match="p must be >= 0, got -1"):
+            discover_validity(make_triple(5, 2, 19, 3), -1)
+
+    def test_rejects_negative_p_max_for_a_pair(self):
+        with pytest.raises(InvalidInputError, match="p must be >= 0, got -3"):
+            discover_validity((3, 5), -3)
+
 
 def reference_validity(params, p_max):
     """discover_validity's contract as a per-p loop with one scan per p."""
+    if p_max < 0:
+        raise InvalidInputError(f"p must be >= 0, got {p_max}")
     if isinstance(params, ShiftedGeometricFamily):
         gens = params.gens
 
@@ -388,4 +398,3 @@ class TestDiscoverValidityOnePass:
     def test_refusal_at_zero_builds_nothing(self, monkeypatch):
         fam = make_triple(1, 3, -100, 1)  # no closed-form case applies
         assert count_table_builds(monkeypatch, discover_validity, fam, 5) == (-1, 0)
-        assert count_table_builds(monkeypatch, discover_validity, (2, 3), -1) == (-1, 0)
