@@ -223,13 +223,13 @@ def g_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
 
     Cases 3 and 4 (c < 0) refuse past p = 3 and p = 2; case 4 also at p = q.
     """
-    check_p(p)
+    p = check_p(p)
     return _frobenius(t, 3, p)
 
 
 def n_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
     """Closed-form p-Sylvester number of a three-term family (c > 0 only)."""
-    check_p(p)
+    p = check_p(p)
     if t.c < 0:
         raise UnsupportedCaseError(
             "no closed p-Sylvester form for c < 0; use scan_p_range"
@@ -249,7 +249,7 @@ def n_p_closed_triple(t: ShiftedGeometricFamily, p: int) -> int:
 
 def grid_digits(t: ShiftedGeometricFamily, p: int) -> tuple[int, ...]:
     """(q, r) of a triple, once its position grid exists: c > 0 and 0 <= p <= q."""
-    check_p(p)
+    p = check_p(p)
     if t.c < 0:
         raise InvalidInputError("the position grid is constructed only for c > 0")
     return _stated_digits(t, 3, p)
@@ -289,7 +289,7 @@ def g_p_closed_quad(qd: ShiftedGeometricFamily, p: int) -> int:
     pattern breaks down and the oracle must be used. With alpha = 0 it
     refuses every p >= 1.
     """
-    check_p(p)
+    p = check_p(p)
     if qd.c < 0:
         raise UnsupportedCaseError(
             "no closed four-term form for c < 0; use scan_p_range"
@@ -339,7 +339,7 @@ def g_p_two_gens(a: int, b: int, p: int) -> int:
     """p-Frobenius number of two coprime generators: (p+1)ab - a - b."""
     if a < 2 or b < 2:
         raise InvalidInputError(f"generators must be >= 2, got ({a}, {b})")
-    check_p(p)
+    p = check_p(p)
     if math.gcd(a, b) != 1:
         raise GcdNotOneError(f"gcd({a}, {b}) = {math.gcd(a, b)}, expected 1")
     return (p + 1) * a * b - a - b

@@ -5,9 +5,11 @@ p-Sylvester numbers:
 
 - the residue-class pass (`_apery_pass`) pops sums of the generators above
   a1 in increasing order and counts them per class mod a1, keeping the max
-  and sum of each order and one Apery set: O(a1 + p_max) ints, and
-  O((p_max + 1) * k * a1 * log) time whatever the size of g_p. `scan_p_range`
-  reads the rows and `apery_set` the set, the only routes to g_p and n_p;
+  and sum of each order and one Apery set: O(a1 + p_max + k) ints, and
+  O((p_max + 1) * k * a1 * log) time whatever the size of g_p. Sums that
+  end in the largest generator come from a FIFO, the others from a heap.
+  `scan_p_range` reads the rows and `apery_set` the set, the only routes to
+  g_p and n_p;
 - the coin-counting DP count table (`_raw_counts`) serves the denumerants
   and the redundancy check.
 
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import os
+from collections import deque
 from typing import Iterable
 
 from .errors import GcdNotOneError, InvalidInputError, ResourceLimitError
@@ -59,7 +63,10 @@ class GeneratorTuple:
     gens: tuple[int, ...]
 
     def __init__(self, gens: Iterable[int]) -> None:
-        gens = tuple(sorted(set(map(int, gens))))
+        try:
+            gens = tuple(sorted(set(map(operator.index, gens))))
+        except TypeError as exc:
+            raise InvalidInputError(f"generators must be integers: {exc}") from None
         if not gens:
             raise InvalidInputError("at least one generator required")
         if gens[0] < 2:
@@ -159,10 +166,16 @@ def denumerant(m: int, gens: GeneratorTuple | Iterable[int]) -> int:
     return denumerant_table(gens, m)[m]
 
 
-def check_p(p: int) -> None:
-    """Refuse a negative p; every p-indexed quantity starts at p = 0."""
+def check_p(p: int) -> int:
+    """p as an int; refuse a non-integral p, and a negative one, since every
+    p-indexed quantity starts at p = 0."""
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise InvalidInputError(f"p must be an integer, got {p!r}") from None
     if p < 0:
         raise InvalidInputError(f"p must be >= 0, got {p}")
+    return p
 
 
 def _apery_pass(
@@ -170,41 +183,42 @@ def _apery_pass(
 ) -> tuple[list[int], list[int], list[int | None]]:
     """(tops, sums, column) of one residue-class pass over the sums below the cap.
 
-    The sums x2*g2 + ... + xk*gk pop from a heap in increasing order, each
-    multiset of generators once, by extending only with indices no smaller
-    than its last (Nijenhuis's minimal paths, Amer. Math. Monthly 86, 1979).
-    With multiplicity, the (c+1)-th sum in class j mod a1 is j's order-c
-    Apery element; it sets tops[c] and adds to sums[c]. A class is full at
+    The sums x2*g2 + ... + xk*gk pop in increasing order, each multiset of
+    generators once, by extending only with indices no smaller than its last
+    (Nijenhuis's minimal paths, Amer. Math. Monthly 86, 1979). With
+    multiplicity, the (c+1)-th sum in class j mod a1 is j's order-c Apery
+    element; it sets tops[c] and adds to sums[c]. A class is full at
     need = min(p_max + 1, `_most_sums` // a1) sums, the most every class can
     hold, and a sum in a full class is not extended: the same steps from its
     smaller sums land lower. The rows stop at the first order some class does
     not fill; column[j] is j's need-th sum, None where j holds fewer.
 
-    A heap key is s << sh | last, last indexing the generator s ended with in
-    gens[1:]; a root with a child below the cap is replaced by it, one sift.
+    Each counted s gives s + gk, in increasing order, so these queue in a FIFO
+    with no sift (the monotone-queue merge of the Hamming numbers). Sums that
+    end in g2..g(k-1) sit in a heap of keys s << sh | last, last indexing that
+    generator. The FIFO pops while its head is below the heap's least sum.
     """
-    a1, rest = gt.a1, gt.gens[1:]
+    a1, top, lower = gt.a1, gt.gens[-1], gt.gens[1:-1]
     need = min(p_max + 1, _most_sums(gt, cap) // a1)
     if not need:
         return [], [], []
-    sh = (len(rest) - 1).bit_length()
+    sh = max(len(lower) - 1, 0).bit_length()
     mask = (1 << sh) - 1
     limit = cap << sh
-    # steps[last]: the key steps adding rest[last], then rest[i] for i > last.
-    # Steps grow with i, as rest does, so the first child past the cap ends them.
-    steps = [
-        (rest[last] << sh, [(g << sh) + i - last for i, g in enumerate(rest) if i > last])
-        for last in range(len(rest))
-    ]
+    # (key - last) + steps[i] adds lower[i] to a key, for i >= last. Steps grow
+    # with i, so the first child past the cap ends them; so does the sentinel.
+    steps = [(g << sh) + i for i, g in enumerate(lower)] + [limit]
     tops: list[int] = []
     sums: list[int] = []
     counts = [0] * a1
     column: list[int | None] = [None] * a1
     open_classes, reached = a1, 0  # reached = len(tops), a local for speed
-    heap = [0]
-    while heap and open_classes:
-        key = heap[0]
-        s = key >> sh
+    heap, low, fifo = [0], 0, deque()  # low: the heap's least sum, cap if none
+    while open_classes and (fifo or heap):
+        if fifo and fifo[0] < low:
+            s, key = fifo.popleft(), -1
+        else:
+            s, key = low, heap[0]
         j = s % a1
         c = counts[j]
         if c < need:
@@ -215,22 +229,27 @@ def _apery_pass(
                 tops.append(s)
                 sums.append(s)
                 reached += 1
-            c += 1
-            counts[j] = c
-            if c == need:
+            counts[j] = c + 1
+            if c + 1 == need:
                 column[j] = s
                 open_classes -= 1
-            first, others = steps[key & mask]
-            t = key + first
-            if t < limit:
-                heapq.heapreplace(heap, t)
-                for d in others:
-                    t = key + d
-                    if t >= limit:
-                        break
-                    heapq.heappush(heap, t)
-                continue
-        heapq.heappop(heap)
+            if s + top < cap:
+                fifo.append(s + top)
+        if key < 0:
+            continue
+        last = key & mask
+        base = key - last
+        t = base + steps[last]
+        if c < need and t < limit:
+            heapq.heapreplace(heap, t)
+            for i in range(last + 1, len(lower)):
+                t = base + steps[i]
+                if t >= limit:
+                    break
+                heapq.heappush(heap, t)
+        else:
+            heapq.heappop(heap)
+        low = heap[0] >> sh if heap else cap
     rows = min(counts)
     return tops[:rows], sums[:rows], column
 
@@ -266,7 +285,7 @@ def scan_p_range(
     grows. `require_row` reads them.
     """
     gt = as_generators(gens)
-    check_p(p_max)
+    p_max = check_p(p_max)
     tops, sums, _ = _apery_pass(gt, p_max, effective_table_cap())
     return [_read_row(gt, top, total) for top, total in zip(tops, sums)]
 
@@ -292,7 +311,7 @@ def apery_set(gens: GeneratorTuple | Iterable[int], p: int) -> tuple[int, ...]:
     class takes a1 * (p + 1) sums, more than `_most_sums` below the cap.
     """
     gt = as_generators(gens)
-    check_p(p)
+    p = check_p(p)
     cap = effective_table_cap()
     most = _most_sums(gt, cap)
     if gt.a1 * (p + 1) > most:

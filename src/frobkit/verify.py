@@ -259,7 +259,7 @@ def discover_validity(
     when the closed form already fails at p = 0. One oracle pass checks the
     closed form at every p up to its first refusal.
     """
-    check_p(p_max)
+    p_max = check_p(p_max)
     if isinstance(params, ShiftedGeometricFamily):
         gens = params.gens
         closed = partial(closed_value, params, "frobenius")

@@ -262,6 +262,11 @@ class TestClosedTriple:
         with pytest.raises(OutOfValidityRangeError):
             g_p_closed_triple(t, 8)
 
+    def test_non_integral_p_rejected(self):
+        # Evaluated as is, p = 1.5 gives 141 * 1.5 + 947 = 1158.5.
+        with pytest.raises(InvalidInputError, match="p must be an integer"):
+            g_p_closed_triple(make_triple(5, 2, 19, 3), 1.5)
+
     def test_case4_tightened_bound(self):
         # the case-4 position x3 = q-p-1 does not exist at p = q; the scan
         # oracle confirms the formula value would be wrong there
@@ -617,6 +622,11 @@ class TestTwoGenerators:
     def test_gcd_not_one(self):
         with pytest.raises(GcdNotOneError):
             g_p_two_gens(4, 6, 0)
+
+    def test_non_integral_p_rejected(self):
+        # Evaluated as is, p = 0.5 gives 1.5 * 15 - 8 = 14.5.
+        with pytest.raises(InvalidInputError, match="p must be an integer"):
+            g_p_two_gens(3, 5, 0.5)
 
 
 class TestGeneratorIdentity:

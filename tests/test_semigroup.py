@@ -76,6 +76,11 @@ class TestGeneratorTuple:
         with pytest.raises(InvalidInputError):
             GeneratorTuple((3, 0))
 
+    def test_non_integral_rejected_not_truncated(self):
+        # int() would build (2, 3) from these.
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            GeneratorTuple([2.5, 3.9])
+
     @pytest.mark.parametrize("gens", [(21, 61, 141), (17, 125, 449, 1421)])
     def test_golden_tuples_accepted(self, gens):
         assert GeneratorTuple(gens).gens == gens
@@ -212,6 +217,22 @@ class TestAperySet:
     def test_cap_breach(self):
         with capped(4), pytest.raises(ResourceLimitError):
             apery_set((2, 3), 1)
+
+    def test_non_integral_p_rejected_before_the_cap(self):
+        with pytest.raises(InvalidInputError, match="p must be an integer"):
+            apery_set((2, 3), 1.5)
+
+    def test_many_generators_keep_one_key_step_each(self):
+        # 3000 generators past a1; the pass keeps one step per generator.
+        tracemalloc.start()
+        try:
+            with capped(None):
+                entries = apery_set(range(2, 3002), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert entries == (0, 3)
+        assert peak < 1024 * 1024
 
     @given(small_generator_tuples(), st.integers(0, 8), st.integers(1, 200))
     @settings(max_examples=200, deadline=None)
@@ -405,6 +426,11 @@ class TestScanPRange:
         with pytest.raises(InvalidInputError):
             scan_p_range((2, 3), -1)
 
+    def test_non_integral_p_max_rejected(self):
+        # Used as is, 2.5 would bound the rows at p = 3.
+        with pytest.raises(InvalidInputError, match="p must be an integer"):
+            scan_p_range((2, 3), 2.5)
+
     def test_non_integral_n_p_is_an_error_not_a_floor(self, monkeypatch):
         # An Apery column sums to a1(a1 - 1)/2 mod a1; (0, 4) sums to 0 mod 2,
         # where 1 is due, and flooring would give n_0 = 1.
@@ -550,17 +576,23 @@ class TestResidueSumsContract:
         st.integers(0, 8),
         st.integers(1, 600),
     )
-    # Heap keys are s << sh | last with sh = (k - 1).bit_length() for the k
-    # generators past a1: k = 1 gives sh = mask = 0, k = 4 fills its 2-bit
-    # mask, and k = 3, 5, 6 leave mask values that no index takes.
+    # Sums that end in the largest generator queue in the FIFO; the heap
+    # holds keys s << sh | last over the m generators strictly between a1
+    # and it, sh = max(m - 1, 0).bit_length(). Two generators leave only
+    # the root in the heap, three give sh = mask = 0, six fill the 2-bit
+    # mask, and five and seven leave mask values that no index takes.
     @example([2, 3], 3, 20)
     @example([7, 12], 0, 90)
+    @example([3, 5, 7], 4, 90)
     @example([4, 5, 6, 7], 3, 90)
     @example([5, 6, 7, 8, 9], 3, 20)
     @example([5, 7, 9, 11, 13], 0, 90)
     @example([6, 7, 8, 9, 10, 11], 3, 90)
     @example([7, 8, 9, 10, 11, 12, 13], 0, 20)
     @example([7, 10, 11, 13, 15, 17, 19], 3, 90)
+    # 9 = 4 + 5 joins the FIFO at cap 10 and not at cap 9: class 0 fills or not.
+    @example([3, 4, 5], 2, 10)
+    @example([3, 4, 5], 2, 9)
     @settings(max_examples=300, deadline=None)
     def test_equals_the_brute_force(self, raw, p_max, cap):
         gens = GeneratorTuple(tuple(raw))
