@@ -337,6 +337,10 @@ def case_tag(fam: ShiftedGeometricFamily) -> str | None:
 
 def g_p_two_gens(a: int, b: int, p: int) -> int:
     """p-Frobenius number of two coprime generators: (p+1)ab - a - b."""
+    try:
+        a, b = operator.index(a), operator.index(b)
+    except TypeError:
+        raise InvalidInputError(f"generators must be integers: {a!r}, {b!r}") from None
     if a < 2 or b < 2:
         raise InvalidInputError(f"generators must be >= 2, got ({a}, {b})")
     p = check_p(p)

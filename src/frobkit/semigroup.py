@@ -29,9 +29,9 @@ from typing import Iterable
 
 from .errors import GcdNotOneError, InvalidInputError, ResourceLimitError
 
-#: Default table cap: the most entries of a DP count table, and the bound below
-#: which the residue-class engine counts sums. FROBKIT_TABLE_CAP overrides it;
-#: every function that checks the cap reads the variable on each call.
+#: Default table cap, for both engines: a DP count table holds at most this
+#: many entries, and a residue-class pass counts at most this many sums, each
+#: below it. FROBKIT_TABLE_CAP overrides it; each check reads it on each call.
 DEFAULT_TABLE_CAP = 10**8
 TABLE_CAP_ENV = "FROBKIT_TABLE_CAP"
 
@@ -149,8 +149,7 @@ def denumerant_table(
 ) -> tuple[int, ...]:
     """Counts d(m), indexed by m <= bound, in O(len(gens) * bound) additions."""
     gt = as_generators(gens)
-    if bound < 0:
-        raise InvalidInputError(f"bound must be >= 0, got {bound}")
+    bound = check_p(bound, "bound")
     cap = effective_table_cap()
     if bound + 1 > cap:
         raise ResourceLimitError(
@@ -161,35 +160,34 @@ def denumerant_table(
 
 def denumerant(m: int, gens: GeneratorTuple | Iterable[int]) -> int:
     """Number of representations of m as a nonnegative combination of gens."""
-    if m < 0:
-        raise InvalidInputError(f"m must be >= 0, got {m}")
+    m = check_p(m, "m")
     return denumerant_table(gens, m)[m]
 
 
-def check_p(p: int) -> int:
+def check_p(p: int, name: str = "p") -> int:
     """p as an int; refuse a non-integral p, and a negative one, since every
-    p-indexed quantity starts at p = 0."""
+    p-indexed quantity starts at p = 0. `name` words it for another count."""
     try:
         p = operator.index(p)
     except TypeError:
-        raise InvalidInputError(f"p must be an integer, got {p!r}") from None
+        raise InvalidInputError(f"{name} must be an integer, got {p!r}") from None
     if p < 0:
-        raise InvalidInputError(f"p must be >= 0, got {p}")
+        raise InvalidInputError(f"{name} must be >= 0, got {p}")
     return p
 
 
 def _apery_pass(
     gt: GeneratorTuple, p_max: int, cap: int
 ) -> tuple[list[int], list[int], list[int | None]]:
-    """(tops, sums, column) of one residue-class pass over the sums below the cap.
+    """(tops, sums, column) of one residue-class pass: `cap` sums at most, below it.
 
     The sums x2*g2 + ... + xk*gk pop in increasing order, each multiset of
     generators once, by extending only with indices no smaller than its last
     (Nijenhuis's minimal paths, Amer. Math. Monthly 86, 1979). With
     multiplicity, the (c+1)-th sum in class j mod a1 is j's order-c Apery
     element; it sets tops[c] and adds to sums[c]. A class is full at
-    need = min(p_max + 1, `_most_sums` // a1) sums, the most every class can
-    hold, and a sum in a full class is not extended: the same steps from its
+    need = min(p_max + 1, `_most_sums` // a1) sums, at most `cap` in all,
+    and a sum in a full class is not extended: the same steps from its
     smaller sums land lower. The rows stop at the first order some class does
     not fill; column[j] is j's need-th sum, None where j holds fewer.
 
@@ -255,8 +253,8 @@ def _apery_pass(
 
 
 def _most_sums(gt: GeneratorTuple, cap: int) -> int:
-    """The most sums below the cap in all classes: each x_i <= (cap - 1) // a_i."""
-    return math.prod((cap - 1) // g + 1 for g in gt.gens[1:])
+    """The most sums a pass counts: cap, or fewer where x_i <= (cap - 1) // a_i."""
+    return min(cap, math.prod((cap - 1) // g + 1 for g in gt.gens[1:]))
 
 
 def _read_row(gt: GeneratorTuple, top: int, total: int) -> tuple[int, int]:
@@ -281,8 +279,8 @@ def scan_p_range(
     """(g_p, n_p) for p = 0, 1, ..., read from the per-order max and sum of one pass.
 
     The rows stop at p_max or before the first p the table cap stops
-    (g_p + a1 >= cap), whichever comes first; g_p never decreases as p
-    grows. `require_row` reads them.
+    (g_p + a1 >= cap, or a1 * (p + 1) > cap sums to count), whichever comes
+    first; g_p never decreases as p grows. `require_row` reads them.
     """
     gt = as_generators(gens)
     p_max = check_p(p_max)
@@ -308,7 +306,7 @@ def apery_set(gens: GeneratorTuple | Iterable[int], p: int) -> tuple[int, ...]:
 
     Entry j is the least m = j mod a1 with d(m) >= p + 1; entry 0 is 0
     exactly when p = 0. A p is refused before the pass where filling every
-    class takes a1 * (p + 1) sums, more than `_most_sums` below the cap.
+    class takes a1 * (p + 1) sums, more than `_most_sums` lets it count.
     """
     gt = as_generators(gens)
     p = check_p(p)

@@ -29,10 +29,6 @@ from .families import (
 from .semigroup import GeneratorTuple, check_p, effective_table_cap
 from .semigroup import require_row, scan_p_range
 
-#: Tuples whose minimum generator exceeds this are skipped to keep sweeps cheap.
-DEFAULT_MIN_GEN_CAP = 20000
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Inclusive parameter ranges plus sampling policy for a verification sweep."""
@@ -192,7 +188,7 @@ def verify_point(params: ShiftedGeometricFamily, p: int) -> PointResult:
 
 
 def _evaluate_tuple(
-    spec: SweepSpec, abcn: tuple[int, int, int, int]
+    spec: SweepSpec, cap: int, abcn: tuple[int, int, int, int]
 ) -> tuple[PointResult, ...] | str:
     """One tuple's points from one oracle pass, or the field it is skipped under."""
     if past_digit_limit(*abcn):
@@ -202,9 +198,10 @@ def _evaluate_tuple(
         params = make(*abcn)
     except FrobkitError:
         return "skipped_gcd"
-    if params.gens.a1 > DEFAULT_MIN_GEN_CAP:
-        return "skipped_large"
     if spec.p_policy == "theorem-range":
+        # apery_set's up-front test: filling p = 0..q takes a1 * (q + 1) sums
+        if params.gens.a1 * (params.stated_p_max + 1) > cap:
+            return "skipped_large"
         p_values = range(params.stated_p_max + 1)  # 0..q or 0..b-beta
     else:
         p_values = range(int(spec.p_policy) + 1)
@@ -214,22 +211,21 @@ def _evaluate_tuple(
 def verify_grid(spec: SweepSpec, *, workers: int = 1) -> VerificationReport:
     """Sweep the spec's parameter grid and compare closed forms to the oracle.
 
-    Tuples with gcd != 1, or with a minimum generator above
-    DEFAULT_MIN_GEN_CAP or past the int-to-str digit limit, are counted and
-    skipped. Report ordering follows tuple enumeration order regardless of
+    Tuples with gcd != 1, past the int-to-str digit limit, or whose theorem
+    range needs more than the table cap's a1 * (p + 1) sums, are counted
+    and skipped. Report ordering follows tuple enumeration order regardless of
     worker count.
     """
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
-    if spec.p_policy != "theorem-range":
-        cap = effective_table_cap()
-        # A fixed p_policy lists p_policy + 1 points per tuple, so the gate
-        # bounds a report's points per tuple by the cap. It is no bound on
-        # reach: d(m) can outgrow m, and (3, 5, 9) has g_2000 + a1 = 733.
-        if spec.p_policy >= cap:
-            raise ResourceLimitError(f"fixed p_policy {spec.p_policy} >= table cap {cap}")
+    cap = effective_table_cap()
+    # A fixed p_policy lists p_policy + 1 points per tuple, so the gate bounds
+    # a report's points per tuple by the cap, as each pass counts at most cap
+    # sums; the points past a tuple's rows are resource_limit.
+    if spec.p_policy != "theorem-range" and spec.p_policy >= cap:
+        raise ResourceLimitError(f"fixed p_policy {spec.p_policy} >= table cap {cap}")
     tuples = spec.tuples()
-    evaluate = partial(_evaluate_tuple, spec)
+    evaluate = partial(_evaluate_tuple, spec, cap)
     if workers > 1 and tuples:
         # Imported here, so that `import frobkit` does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -279,8 +275,9 @@ def discover_validity(
         except FrobkitError:
             break
         # The window for p ends at g_p + a1. Past the table cap, the oracle
-        # stops at p or disagrees with the closed value there: p decides. A
-        # refusal at p = 0 needs no oracle, so it reads no cap.
+        # stops at p or disagrees with the closed value there: p decides.
+        # `require_row` raises the cap error where the rows stop earlier, at
+        # a1 * (p + 1) > cap. A refusal at p = 0 needs no oracle, so no cap.
         cap = cap or effective_table_cap()
         if values[-1] + gens.a1 >= cap:
             break

@@ -10,10 +10,11 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from frobkit import FrobkitError, cli, families, semigroup
@@ -154,15 +155,18 @@ class TestCompute:
     @pytest.mark.parametrize(
         "argv, err",
         [
-            # (21, 61, 141): below the default cap there are at most
-            # 1639345 * 709220 (about 1.16 * 10^12) sums, and 21 * (p + 1)
-            # are needed, so 10^20 and 10^12 are out of reach
+            # (21, 61, 141): a pass counts at most 10^8 sums under the
+            # default cap, and 21 * (p + 1) are needed, so 10^20, 10^12 and
+            # 5 * 10^10 are out of reach
             (["compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
               "--p", str(10**20), "--method", "oracle"],
              f"error: forward scan for p={10**20} exceeded table cap 100000000\n"),
             (["compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
               "--p", str(10**12), "--method", "oracle"],
              f"error: forward scan for p={10**12} exceeded table cap 100000000\n"),
+            (["compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3",
+              "--p", str(5 * 10**10), "--method", "oracle"],
+             f"error: forward scan for p={5 * 10**10} exceeded table cap 100000000\n"),
             # (9999997, 99999997, 999999997): 2 sums below the cap, one per
             # class of the 9999997 is needed
             (["compute", "--a", "1", "--b", "10", "--c", "3", "--n", "7", "--p", "0",
@@ -172,7 +176,7 @@ class TestCompute:
              f"error: Apery scan for p={10**20} exceeded table cap 100000000 "
              f"(at most 33333334 sums below the cap, {2 * (10**20 + 1)} needed)\n"),
         ],
-        ids=["compute", "compute-1e12", "compute-n7", "apery"],
+        ids=["compute", "compute-1e12", "compute-5e10", "compute-n7", "apery"],
     )
     def test_unreachable_p_at_the_default_cap_exits_3_at_once(self, argv, err):
         # a pass filling classes toward p + 1 sums would not end, so run main
@@ -486,16 +490,19 @@ class TestVerify:
         )
 
     def test_p_policy_gate_bounds_points_not_reach(self, capsys, monkeypatch):
-        # d(m) outgrows m on (3, 5, 9): under cap 2000, row 2000 is in reach
-        # (g_2000 + a1 = 733), yet a fixed p_policy 2000 is refused, as it
-        # would list 2001 points per tuple.
+        # Under cap 2000 a pass counts at most 2000 sums, so (3, 5, 9) fills
+        # 2000 // 3 = 666 orders: row 666 is out of reach though g_666 + a1
+        # is far below the cap. A fixed p_policy 2000 is refused before any
+        # pass, as it would list 2001 points per tuple.
         monkeypatch.setenv(TABLE_CAP_ENV, "2000")
-        code, out, _ = run_cli(capsys, "table", "--a", "1", "--b", "2", "--c=-1", "--n", "1",
-                               "--p-max", "2000", "--format", "json")
+        table = ["table", "--a", "1", "--b", "2", "--c=-1", "--n", "1", "--format", "csv"]
+        code, out, err = run_cli(capsys, *table, "--p-max", "2000")
+        assert (code, out) == (3, "")
+        assert err == "error: forward scan for p=666 exceeded table cap 2000\n"
+        code, out, _ = run_cli(capsys, *table, "--p-max", "665")
         assert code == 0
-        rows = json.loads(out)["rows"]
-        assert (len(rows), rows[-1]["p"], rows[-1]["g"]) == (2001, "2000", "730")
-        assert dp_scan((3, 5, 9), 2000)[0] == 730
+        assert out.splitlines()[-1] == "665,418,oracle,415,oracle"
+        assert dp_scan((3, 5, 9), 665) == (418, 415)
         code, out, err = run_cli(capsys, "verify", "--a-range", "1..1", "--b-range", "2..2",
                                  "--c-range=-1..-1", "--n-range", "1..1", "--p-policy", "2000")
         assert (code, out, err) == (3, "", "error: fixed p_policy 2000 >= table cap 2000\n")
@@ -821,3 +828,60 @@ class TestDigitLimit:
         with pytest.raises(ValueError, match="not a digit limit"):
             main(["table", "--a", "2", "--b", "3", "--c=-5", "--n", "2", "--vars", "4",
                   "--p-max", "1"])
+
+
+FAMILY_FLAGS = st.builds(
+    lambda a, b, c, n, k: ["--a", str(a), "--b", str(b), f"--c={c}", "--n", str(n),
+                           "--vars", str(k)],
+    st.integers(1, 50), st.integers(2, 10), st.integers(-200, 200), st.integers(1, 6),
+    st.sampled_from((3, 4)),
+)
+COMMAND_FLAGS = st.one_of(
+    st.builds(
+        lambda p, method, quantity, fmt: ["compute", "--p", str(p), "--method", method,
+                                          "--quantity", quantity, "--format", fmt],
+        st.integers(0, 10**30), st.sampled_from(("closed", "oracle", "both")),
+        st.sampled_from(("frobenius", "sylvester")), st.sampled_from(("text", "json")),
+    ),
+    st.builds(
+        lambda p, grid, fmt: ["apery", "--p", str(p), "--format", fmt] + ["--grid"] * grid,
+        st.integers(0, 10**30), st.booleans(), st.sampled_from(("text", "json")),
+    ),
+    # The cap bounds every oracle row, not the closed rows of a table, so
+    # p_max stays small.
+    st.builds(
+        lambda p_max, fmt: ["table", "--p-max", str(p_max), "--format", fmt],
+        st.integers(0, 5000), st.sampled_from(("text", "json", "csv")),
+    ),
+)
+
+
+def reports_a_mismatch(out: str, err: str) -> bool:
+    """Whether a run's output names a closed/oracle or grid/Apery mismatch."""
+    return ("agreement: MISMATCH" in out or '"agreement": false' in out
+            or err == "grid/apery value mismatch\n")
+
+
+class TestContract:
+    """compute, apery and table end in a contract exit code, within a deadline."""
+
+    @given(FAMILY_FLAGS, COMMAND_FLAGS)
+    # A pass under cap 2000 counts at most 2000 sums, so each example takes
+    # milliseconds; the deadline leaves room for a slow runner.
+    @settings(max_examples=300, deadline=timedelta(seconds=2))
+    @example(["--a", "5", "--b", "2", "--c=19", "--n", "3", "--vars", "3"],
+             ["compute", "--p", str(5 * 10**10), "--method", "oracle", "--format", "json"])
+    @example(["--a", "1", "--b", "2", "--c=-1", "--n", "1", "--vars", "3"],
+             ["table", "--p-max", "5000", "--format", "csv"])
+    @example(["--a", "1", "--b", "2", "--c=-1", "--n", "1", "--vars", "3"],
+             ["apery", "--p", str(10**30), "--format", "text", "--grid"])
+    def test_exit_code_under_a_small_cap(self, family, command):
+        with capped(2000):
+            code, out, err = run_captured([command[0], *family, *command[1:]])
+        event(f"{command[0]} exit {code}")
+        assert code in (0, 1, 2, 3), (code, err)
+        assert (code == 1) == reports_a_mismatch(out, err), (code, out, err)
+        if code == 0:
+            assert err == ""
+        elif code in (2, 3):
+            assert out == ""

@@ -22,6 +22,7 @@ from frobkit import (
     denumerant,
     denumerant_table,
     discover_validity,
+    g_p_two_gens,
     make_triple,
     scan_p_range,
     verify_grid,
@@ -411,6 +412,21 @@ class TestScanPRange:
             with pytest.raises(ResourceLimitError):
                 apery_set((2, 3), 0)
 
+    def test_a_pass_counts_at_most_cap_sums(self):
+        # Far more than 400 sums of 3, 5, ..., 13 lie below 400, but a pass
+        # counts 400 at most: 200 orders of the 2 classes, whatever p_max is.
+        gens = (2, 3, 5, 7, 11, 13)
+        with capped(400):
+            rows = scan_p_range(gens, 10**6)
+            with pytest.raises(ResourceLimitError) as info:
+                apery_set(gens, 200)
+        assert len(rows) == 200
+        assert rows[-1] == dp_scan(gens, 199)
+        assert str(info.value) == (
+            "Apery scan for p=200 exceeded table cap 400 "
+            "(at most 400 sums below the cap, 402 needed)"
+        )
+
     def test_huge_p_max_allocates_only_the_filled_rows(self):
         tracemalloc.start()
         try:
@@ -430,6 +446,19 @@ class TestScanPRange:
         # Used as is, 2.5 would bound the rows at p = 3.
         with pytest.raises(InvalidInputError, match="p must be an integer"):
             scan_p_range((2, 3), 2.5)
+
+    @pytest.mark.parametrize(
+        "func, args, name",
+        [
+            (g_p_two_gens, (2.5, 3, 0), "generators"),
+            (denumerant, (2.5, (2, 3)), "m"),
+            (denumerant_table, ((2, 3), 2.5), "bound"),
+        ],
+        ids=["g_p_two_gens", "denumerant", "denumerant_table"],
+    )
+    def test_non_integral_arguments_are_invalid_input(self, func, args, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+            func(*args)
 
     def test_non_integral_n_p_is_an_error_not_a_floor(self, monkeypatch):
         # An Apery column sums to a1(a1 - 1)/2 mod a1; (0, 4) sums to 0 mod 2,
@@ -500,8 +529,9 @@ def dp_apery_reference(gens, p):
     """apery_set's entries, or its cap error, read from a denumerant table."""
     cap = effective_table_cap()
     a1 = gens[0]
-    # Below the cap, x_i <= (cap - 1) // a_i for each generator but a1.
-    most = math.prod((cap - 1) // g + 1 for g in gens[1:])
+    # A pass counts at most cap sums, and fewer where fewer lie below the
+    # cap: there x_i <= (cap - 1) // a_i for each generator but a1.
+    most = min(cap, math.prod((cap - 1) // g + 1 for g in gens[1:]))
     if a1 * (p + 1) > most:
         return ResourceLimitError, (
             f"Apery scan for p={p} exceeded table cap {cap} "
@@ -527,6 +557,8 @@ class TestResidueEngineCrossRoute:
     @example([9, 3, 5, 3], 4, 40)
     @example([16, 2, 4, 3, 8], 4, 1)
     @example([7, 5, 13], 3, 60)
+    # g_4 + a1 = 33 is below 34, but row 4 needs 35 counted sums
+    @example([7, 8, 9, 10, 11], 4, 34)
     def test_engine_equals_dp_and_naive(self, raw, p_max, table_cap):
         gens = GeneratorTuple(tuple(raw)).gens
         with capped(table_cap):
@@ -535,14 +567,20 @@ class TestResidueEngineCrossRoute:
             naive = [
                 (naive_g_p(gens, p), naive_n_p(gens, p)) for p in range(p_max + 1)
             ]
-            # A row needs every p-Apery element, the largest being g_p + a1; g_p
-            # never decreases, so the rows in reach form a prefix.
-            assert rows == [(g, n) for g, n in naive if g + gens[0] < cap]
+            # A row needs every p-Apery element, the largest being g_p + a1,
+            # and a1 * (p + 1) counted sums; g_p never decreases, so the rows
+            # in reach form a prefix.
+            assert rows == [
+                (g, n) for p, (g, n) in enumerate(naive)
+                if g + gens[0] < cap and gens[0] * (p + 1) <= cap
+            ]
             for p, row in enumerate(naive):
                 g_p, n_p = dp_scan(gens, p)
                 assert (g_p, n_p) == row
                 # The stop rule, read off the uncapped DP.
-                assert (p < len(rows)) == (g_p + gens[0] < cap)
+                assert (p < len(rows)) == (
+                    g_p + gens[0] < cap and gens[0] * (p + 1) <= cap
+                )
                 got = outcome(apery_set, raw, p)
                 assert got == dp_apery_reference(gens, p)
 
@@ -550,19 +588,20 @@ class TestResidueEngineCrossRoute:
 def pass_from_lists(gens: tuple[int, ...], p_max: int, cap: int):
     """What `_apery_pass` returns, read off the brute-force per-class lists.
 
-    Rows run to the shortest list; row c holds the max and the sum of the
-    lists' entries c. A class is full at need sums, the most that every
-    class could hold below the cap, and then gives its need-th sum.
+    A class is full at need sums, the most that every class could hold below
+    the cap with at most cap sums in all, and then gives its need-th sum.
+    Rows run to the shortest list cut at need; row c holds the max and the
+    sum of the lists' entries c.
     """
-    lists = naive_residue_sums(gens, p_max, cap)
-    rows = min(map(len, lists))
-    tops = [max(bucket[c] for bucket in lists) for c in range(rows)]
-    sums = [sum(bucket[c] for bucket in lists) for c in range(rows)]
-    most = math.prod((cap - 1) // g + 1 for g in gens[1:])
+    most = min(cap, math.prod((cap - 1) // g + 1 for g in gens[1:]))
     need = min(p_max + 1, most // gens[0])
     if not need:
         return [], [], []
-    column = [bucket[need - 1] if len(bucket) >= need else None for bucket in lists]
+    lists = [bucket[:need] for bucket in naive_residue_sums(gens, p_max, cap)]
+    rows = min(map(len, lists))
+    tops = [max(bucket[c] for bucket in lists) for c in range(rows)]
+    sums = [sum(bucket[c] for bucket in lists) for c in range(rows)]
+    column = [bucket[-1] if len(bucket) == need else None for bucket in lists]
     return tops, sums, column
 
 
@@ -593,6 +632,8 @@ class TestResidueSumsContract:
     # 9 = 4 + 5 joins the FIFO at cap 10 and not at cap 9: class 0 fills or not.
     @example([3, 4, 5], 2, 10)
     @example([3, 4, 5], 2, 9)
+    # 27 sums lie below 25, and a pass counts 25 at most: need is 2, not 3.
+    @example([9, 10, 11, 12], 2, 25)
     @settings(max_examples=300, deadline=None)
     def test_equals_the_brute_force(self, raw, p_max, cap):
         gens = GeneratorTuple(tuple(raw))

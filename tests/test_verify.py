@@ -137,11 +137,20 @@ class TestVerifyGrid:
                 verify_grid(spec, workers=workers)
 
     def test_min_gen_cap_skips_large_tuples(self):
+        # A theorem-range tuple is skipped where its pass would count
+        # a1 * (q + 1) sums, more than the table cap: 32771 * 10924 > 10^8.
         spec = SweepSpec((1, 1), (2, 2), (-3, -3), (15, 15))
-        report = verify_grid(spec)  # gcd 1 and 2^15 + 3 = 32771 > 20000
-        assert verify.DEFAULT_MIN_GEN_CAP == 20000
+        report = verify_grid(spec)
         assert report.summary.skipped_large == 1
         assert report.summary.total == 1
+        # (21, 61, 141) has q = 7, so it needs 21 * 8 = 168 sums
+        spec = SweepSpec((5, 5), (2, 2), (19, 19), (3, 3))
+        with capped(168):
+            summary = verify_grid(spec).summary
+        assert (summary.skipped_large, summary.total) == (0, 8)
+        with capped(167):
+            summary = verify_grid(spec).summary
+        assert (summary.skipped_large, summary.total) == (1, 1)
 
     def test_a1_past_the_digit_limit_is_skipped_unbuilt(self):
         # 3^n - 1 has about 47,700 digits, and all three generators are even;
