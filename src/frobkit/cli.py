@@ -36,6 +36,7 @@ from .semigroup import (
     GeneratorTuple,
     apery_set,
     cap_error,
+    check_p,
     read_apery,
     require_row,
     scan_p_range,
@@ -301,8 +302,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.p_max < 0:
-        raise InvalidInputError(f"--p-max must be >= 0, got {args.p_max}")
+    check_p(args.p_max, "--p-max")
     params = _make_family(args)
     # The cells the closed forms refuse share one oracle pass, made at the
     # first refusal; the first refused p that the table cap stops ends it.

@@ -17,13 +17,11 @@ holds the one that does, if any.
 
 from __future__ import annotations
 
-import math
 import operator
 import sys
 from typing import NamedTuple
 
 from .errors import (
-    GcdNotOneError,
     InvalidInputError,
     NoClosedFormCaseError,
     OutOfValidityRangeError,
@@ -337,13 +335,6 @@ def case_tag(fam: ShiftedGeometricFamily) -> str | None:
 
 def g_p_two_gens(a: int, b: int, p: int) -> int:
     """p-Frobenius number of two coprime generators: (p+1)ab - a - b."""
-    try:
-        a, b = operator.index(a), operator.index(b)
-    except TypeError:
-        raise InvalidInputError(f"generators must be integers: {a!r}, {b!r}") from None
-    if a < 2 or b < 2:
-        raise InvalidInputError(f"generators must be >= 2, got ({a}, {b})")
+    a, b = GeneratorTuple((a, b)).gens
     p = check_p(p)
-    if math.gcd(a, b) != 1:
-        raise GcdNotOneError(f"gcd({a}, {b}) = {math.gcd(a, b)}, expected 1")
     return (p + 1) * a * b - a - b

@@ -25,6 +25,7 @@ import math
 import operator
 import os
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import GcdNotOneError, InvalidInputError, ResourceLimitError
@@ -52,14 +53,14 @@ def effective_table_cap() -> int:
     return value
 
 
+@dataclass(frozen=True, init=False)
 class GeneratorTuple:
     """Sorted, duplicate-free generators with gcd 1 and minimum >= 2.
 
     Immutable once constructed; safe to share across threads. Equal, hashed
-    and printed by its `gens`.
+    and printed by its `gens`. This is the only check of a generator list.
     """
 
-    __slots__ = ("gens",)
     gens: tuple[int, ...]
 
     def __init__(self, gens: Iterable[int]) -> None:
@@ -75,27 +76,6 @@ class GeneratorTuple:
         if g != 1:
             raise GcdNotOneError(f"gcd of generators is {g}, expected 1")
         object.__setattr__(self, "gens", gens)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # __setattr__ refuses, so pickle and copy rebuild through __init__.
-        return type(self), (self.gens,)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.gens == other.gens
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.gens,))
-
-    def __repr__(self) -> str:
-        return f"GeneratorTuple(gens={self.gens!r})"
 
     @property
     def a1(self) -> int:

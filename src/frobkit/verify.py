@@ -55,17 +55,17 @@ class SweepSpec:
                 )
         if self.vars not in (3, 4):
             raise InvalidInputError(f"vars must be 3 or 4, got {self.vars}")
-        if isinstance(self.p_policy, str) and self.p_policy != "theorem-range":
+        if isinstance(self.p_policy, str):
+            if self.p_policy != "theorem-range":
+                raise InvalidInputError(
+                    f"p_policy must be 'theorem-range' or an integer, got {self.p_policy!r}"
+                )
+        elif check_p(self.p_policy, "fixed p_policy") >= sys.maxsize:
             raise InvalidInputError(
-                f"p_policy must be 'theorem-range' or an integer, got {self.p_policy!r}"
+                f"fixed p_policy must be < {sys.maxsize}, got {self.p_policy}"
             )
-        if isinstance(self.p_policy, int) and not 0 <= self.p_policy < sys.maxsize:
-            bound = ">= 0" if self.p_policy < 0 else f"< {sys.maxsize}"
-            raise InvalidInputError(f"fixed p_policy must be {bound}, got {self.p_policy}")
-        if self.sample_limit is not None and self.sample_limit < 0:
-            raise InvalidInputError(
-                f"sample_limit must be >= 0, got {self.sample_limit}"
-            )
+        if self.sample_limit is not None:
+            check_p(self.sample_limit, "sample_limit")
 
     def tuples(self) -> list[tuple[int, int, int, int]]:
         """The (a, b, c, n) the sweep visits, in enumeration order.
@@ -199,7 +199,8 @@ def _evaluate_tuple(
     except FrobkitError:
         return "skipped_gcd"
     if spec.p_policy == "theorem-range":
-        # apery_set's up-front test: filling p = 0..q takes a1 * (q + 1) sums
+        # Filling p = 0..q takes a1 * (q + 1) sums. apery_set's stricter test
+        # reads `_most_sums` <= cap, so points here can be resource_limit.
         if params.gens.a1 * (params.stated_p_max + 1) > cap:
             return "skipped_large"
         p_values = range(params.stated_p_max + 1)  # 0..q or 0..b-beta

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from frobkit import FrobkitError, cli, families, semigroup
+from frobkit import FrobkitError, cli, families, semigroup, verify
 from frobkit.cli import main
 from frobkit.semigroup import TABLE_CAP_ENV, effective_table_cap
 
@@ -120,6 +120,30 @@ class TestCompute:
         assert code == 3
         assert out == ""
         assert "cap" in err
+
+    def test_redundant_generator_is_noted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compute", "--a", "1", "--b", "2", "--c=-1", "--n", "1", "--p", "0"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "generators: 3 5 9"
+        assert "note: generator(s) representable by the others: 9\n" in out
+
+    def test_wrong_closed_value_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "closed_or_refusal", lambda params, quantity, p: (1, None))
+        code, out, _ = run_cli(
+            capsys, "compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3", "--p", "0"
+        )
+        assert code == 1
+        assert out.endswith("closed g_p(0) = 1\noracle g_p(0) = 947\nagreement: MISMATCH\n")
+
+    def test_table_cap_below_one_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(TABLE_CAP_ENV, "0")
+        code, out, err = run_cli(
+            capsys, "compute", "--a", "5", "--b", "2", "--c", "19", "--n", "3", "--p", "0"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: FROBKIT_TABLE_CAP must be >= 1, got 0\n"
 
     def test_memory_error_exits_3(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -290,6 +314,11 @@ class TestApery:
             "(at most 1 sums below the cap, 2000003 needed)\n"
         )
 
+    def test_malformed_generator_list_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "apery", "--gens", "2,x", "--p", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: malformed generator list '2,x'\n"
+
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "apery", "--p", "1")
         assert code == 2
@@ -438,6 +467,27 @@ class TestVerify:
         assert out == (
             "total=715 matched=448 mismatched=0 skipped_gcd=256 no_case=4 "
             "out_of_range=7 skipped_large=0 resource_limit=0\n"
+        )
+
+    def test_text_mismatch_line_exits_1(self, capsys, monkeypatch):
+        real = verify.closed_or_refusal
+
+        def off_by_one(params, quantity, p):
+            closed, error = real(params, quantity, p)
+            return closed + 1, error
+
+        monkeypatch.setattr(verify, "closed_or_refusal", off_by_one)
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--a-range", "5..5", "--b-range", "2..2", "--c-range", "19..19",
+            "--n-range", "3..3", "--p-policy", "1",
+        )
+        assert code == 1
+        assert out == (
+            "total=2 matched=0 mismatched=2 skipped_gcd=0 no_case=0 "
+            "out_of_range=0 skipped_large=0 resource_limit=0\n"
+            "MISMATCH a=5 b=2 c=19 n=3 p=0: closed=948 oracle=947\n"
+            "MISMATCH a=5 b=2 c=19 n=3 p=1: closed=1089 oracle=1088\n"
         )
 
     def test_fixed_p_policy_csv(self, capsys):

@@ -623,6 +623,10 @@ class TestTwoGenerators:
         with pytest.raises(GcdNotOneError):
             g_p_two_gens(4, 6, 0)
 
+    def test_generator_below_two_rejected(self):
+        with pytest.raises(InvalidInputError, match="^minimum generator must be >= 2, got 1$"):
+            g_p_two_gens(1, 3, 0)
+
     def test_non_integral_p_rejected(self):
         # Evaluated as is, p = 0.5 gives 1.5 * 15 - 8 = 14.5.
         with pytest.raises(InvalidInputError, match="p must be an integer"):

@@ -83,6 +83,24 @@ class TestSweepSpec:
         with pytest.raises(InvalidInputError):
             SweepSpec((1, 2), (2, 3), (1, 5), (1, 1), p_policy="sometimes")
 
+    def test_rejects_vars_other_than_three_or_four(self):
+        with pytest.raises(InvalidInputError, match="^vars must be 3 or 4, got 5$"):
+            SweepSpec((1, 2), (2, 3), (1, 5), (1, 1), vars=5)
+
+    @pytest.mark.parametrize(
+        "field, name",
+        [("p_policy", "fixed p_policy"), ("sample_limit", "sample_limit")],
+    )
+    def test_rejects_a_non_integral_count(self, field, name):
+        # Used as is, p_policy=2.5 was p = 2 and sample_limit=2.5 a TypeError.
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            SweepSpec((1, 2), (2, 3), (1, 5), (1, 1), **{field: 2.5})
+
+    def test_a_grid_past_sys_maxsize_is_refused(self):
+        spec = SweepSpec((1, 10**7), (2, 10**7), (1, 10**7), (1, 1))
+        with pytest.raises(InvalidInputError, match="too many to index"):
+            spec.tuples()
+
 
 class TestVerifyGrid:
     def test_small_positive_sweep_matches(self):
@@ -338,19 +356,19 @@ def validity_inputs(draw):
         reject()  # gcd != 1 or a minimum generator below 2
 
 
-def count_table_builds(monkeypatch, fn, *args, **kwargs):
-    """fn's result and how many count tables it built."""
-    bounds = []
-    real = semigroup._raw_counts
+def count_passes(monkeypatch, fn, *args, **kwargs):
+    """fn's result and how many residue-class passes it made."""
+    calls = []
+    real = semigroup._apery_pass
 
-    def counting(gens, bound):
-        bounds.append(bound)
-        return real(gens, bound)
+    def counting(gt, p_max, cap):
+        calls.append(p_max)
+        return real(gt, p_max, cap)
 
     with monkeypatch.context() as m:
-        m.setattr(semigroup, "_raw_counts", counting)
+        m.setattr(semigroup, "_apery_pass", counting)
         result = fn(*args, **kwargs)
-    return result, len(bounds)
+    return result, len(calls)
 
 
 class TestDiscoverValidityOnePass:
@@ -399,11 +417,23 @@ class TestDiscoverValidityOnePass:
         if last_accepted < p_max:
             with pytest.raises(FrobkitError):
                 closed_value(params, "frobenius", last_accepted + 1)
-        _, one_pass = count_table_builds(monkeypatch, scan_p_range, gens, last_accepted)
-        got, builds = count_table_builds(monkeypatch, discover_validity, params, p_max)
+        _, one_pass = count_passes(monkeypatch, scan_p_range, gens, last_accepted)
+        got, passes = count_passes(monkeypatch, discover_validity, params, p_max)
         assert got == reference_validity(params, p_max)
-        assert builds <= one_pass
+        assert passes == one_pass == 1
 
     def test_refusal_at_zero_builds_nothing(self, monkeypatch):
         fam = make_triple(1, 3, -100, 1)  # no closed-form case applies
-        assert count_table_builds(monkeypatch, discover_validity, fam, 5) == (-1, 0)
+        assert count_passes(monkeypatch, discover_validity, fam, 5) == (-1, 0)
+
+    def test_a_wrong_closed_value_ends_the_validity_before_it(self, monkeypatch):
+        # (21, 61, 141): the closed form holds for p = 0..7; a wrong g_3 ends it at 2.
+        params = make_triple(5, 2, 19, 3)
+        real = verify.closed_value
+
+        def wrong_at_three(fam, quantity, p):
+            return real(fam, quantity, p) + (p == 3)
+
+        assert discover_validity(params, 7) == 7
+        monkeypatch.setattr(verify, "closed_value", wrong_at_three)
+        assert discover_validity(params, 7) == 2
